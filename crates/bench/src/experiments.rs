@@ -2116,7 +2116,7 @@ pub fn wallclock(quick: bool) -> Figure {
     let mut fig = Figure::new(
         "wallclock",
         "executor seam: threads-replay == sim bit-identity, free-running throughput",
-        "worker count",
+        "row",
         "see series",
     );
     fig.note(
@@ -2135,6 +2135,11 @@ pub fn wallclock(quick: bool) -> Figure {
     } else {
         "full mode: n=24, 10 steps, 4 fault seeds, workers {1,2,4,8}"
     });
+    fig.note(
+        "rows index each series' points: replay-identical* row i = the i-th worker \
+         count above; free-value-identical row 0 = 4 workers; wall-ms row 0 = 1 \
+         worker, row 1 = 4 workers; free-speedup row 0 = matmul-fox, row 1 = diffusion",
+    );
 
     let size = 4u32;
     let table = wootinj::build_table(&[("ring_step_reduce.jl", RING_STEP_REDUCE)]).unwrap();
@@ -2191,14 +2196,14 @@ pub fn wallclock(quick: bool) -> Figure {
     let reference = run_cfg(ExecutorCfg::Sim, None);
     let mut s_replay = Series::new("replay-identical");
     let mut s_replay_faults = Series::new("replay-identical-faults");
-    for &w in workers {
+    for (row, &w) in workers.iter().enumerate() {
         let cfg = ExecutorCfg::Threads {
             workers: w,
             mode: ExecMode::Replay,
         };
         let rep = run_cfg(cfg, None);
         assert_identical(&reference, &rep, &format!("fault-free, {w} workers"));
-        s_replay.push(w as f64, 1.0);
+        s_replay.push(row as f64, 1.0);
         for s in 0..nseeds {
             let seed = 0x3A11_0000_0000_0000 | ((w as u64) << 32) | s;
             let sim = run_cfg(ExecutorCfg::Sim, Some(seed));
@@ -2209,7 +2214,7 @@ pub fn wallclock(quick: bool) -> Figure {
                 "wallclock DIVERGENCE: restart counts differ under seed {seed:#x}"
             );
         }
-        s_replay_faults.push(w as f64, 1.0);
+        s_replay_faults.push(row as f64, 1.0);
     }
     fig.series.push(s_replay);
     fig.series.push(s_replay_faults);
@@ -2229,7 +2234,7 @@ pub fn wallclock(quick: bool) -> Figure {
         "wallclock DIVERGENCE: free-running values drifted on exact arithmetic"
     );
     let mut s_free = Series::new("free-value-identical");
-    s_free.push(4.0, 1.0);
+    s_free.push(0.0, 1.0);
     fig.series.push(s_free);
 
     // Throughput sweep: matmul Fox and the diffusion stencil,
@@ -2294,10 +2299,10 @@ pub fn wallclock(quick: bool) -> Figure {
             "wallclock DIVERGENCE: {which} free-running value drifted across worker counts \
              ({base_val} vs {par_val})"
         );
-        for (w, st) in [(1.0, &base), (4.0, &par)] {
-            s_min.push(w, st.min_ms());
-            s_med.push(w, st.median_ms());
-            s_max.push(w, st.max_ms());
+        for (row, st) in [(0.0, &base), (1.0, &par)] {
+            s_min.push(row, st.min_ms());
+            s_med.push(row, st.median_ms());
+            s_max.push(row, st.max_ms());
         }
         fig.series.push(s_min);
         fig.series.push(s_med);

@@ -3,6 +3,7 @@
 //! * [`experiments`] — one function per paper table/figure (and per
 //!   DESIGN.md ablation), returning a [`series::Figure`];
 //! * [`cprogs`] — the hand-inlined *C* baseline programs;
+//! * [`corpus`] — the fixed engine conformance corpus;
 //! * the `repro` binary — `repro fig4`, `repro all`, ... prints the series
 //!   and writes `results/<id>.json`;
 //! * [`timing`] — a minimal wall-clock harness used by `benches/` (the
@@ -10,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod corpus;
 pub mod cprogs;
 pub mod experiments;
 pub mod series;

@@ -36,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use exec::ckpt::{self, CkptError};
-use exec::{FaultConfig, MsgFault, ResilienceStats, TransportFault, Val};
+use exec::{Code, FaultConfig, MsgFault, ResilienceStats, TransportFault, Val};
 use gpu_sim::GpuConfig;
 use mpi_sim::{
     read_frame, run_world, run_world_with_restart, write_frame, ArgBuilder, CheckpointPolicy,
@@ -116,6 +116,9 @@ impl Worker {
 /// connections, and the chaos knobs.
 pub struct RemotePool<'p, 'a> {
     program: &'p Program,
+    /// The caller's decoded form of the program, used to lay out the
+    /// seeded entry frames (decoded per seeding when absent).
+    code: Option<&'p Code>,
     program_bytes: Vec<u8>,
     size: u32,
     entry: FuncId,
@@ -176,6 +179,7 @@ impl<'p, 'a> RemotePool<'p, 'a> {
         let program_digest = nir::digest64(&program_bytes, WARM_DIGEST_SEED);
         Ok(RemotePool {
             program,
+            code: None,
             program_bytes,
             size,
             entry,
@@ -506,14 +510,22 @@ impl RankPool for RemotePool<'_, '_> {
         // same argument builder, same fault derivation, same machine
         // layout — and ship them over as restores. A dist cold start is
         // therefore byte-identical to an mpi-sim cold start.
+        let owned;
+        let code = match self.code {
+            Some(code) => code,
+            None => {
+                owned = Code::new(self.program);
+                &owned
+            }
+        };
         let mut seed = mpi_sim::LocalPool::new(
             self.program,
+            code,
             self.size,
             self.entry,
             &mut *self.make_args,
             self.gpu,
             self.fault,
-            None,
         );
         seed.reinit()?;
         let snaps: Vec<RankSnapshot> = (0..self.size)
@@ -811,6 +823,9 @@ impl Drop for RemotePool<'_, '_> {
 /// pointers cannot cross a process boundary).
 pub struct DistWorld<'p> {
     pub program: &'p Program,
+    /// The caller's decoded form of the program (see
+    /// [`DistWorld::with_code`]).
+    pub code: Option<&'p Code>,
     pub size: u32,
     pub cost: CostModel,
     pub gpu: Option<GpuConfig>,
@@ -828,6 +843,7 @@ impl<'p> DistWorld<'p> {
     pub fn new(program: &'p Program, size: u32) -> Self {
         DistWorld {
             program,
+            code: None,
             size,
             cost: CostModel::default(),
             gpu: None,
@@ -840,6 +856,13 @@ impl<'p> DistWorld<'p> {
             kill_rank_after: None,
             warm_dir: None,
         }
+    }
+
+    /// Seed rank state with the caller's decoded form of the program
+    /// instead of decoding it on every run.
+    pub fn with_code(mut self, code: &'p Code) -> Self {
+        self.code = Some(code);
+        self
     }
 
     pub fn with_cost(mut self, cost: CostModel) -> Self {
@@ -928,6 +951,10 @@ impl<'p> DistWorld<'p> {
             self.kill_rank_after,
             self.warm_dir.clone(),
         )
+        .map(|mut pool| {
+            pool.code = self.code;
+            pool
+        })
     }
 
     /// Run `entry` on every rank — the distributed analogue of

@@ -16,7 +16,7 @@ use std::net::TcpStream;
 use std::path::Path;
 use std::time::Duration;
 
-use exec::{FaultRng, Machine, Val};
+use exec::{Code, FaultRng, Machine, Val};
 use mpi_sim::{read_frame, write_frame, LocalPool, RankCtl, RankPool, SimError, TransportError};
 use nir::codec::{read_program, Reader};
 use nir::FuncId;
@@ -211,14 +211,16 @@ pub fn serve_on(
     let mut no_args = |_: u32, _: &mut Machine| -> Result<Vec<Val>, String> {
         Err("dist worker: rank state is seeded by the coordinator".into())
     };
+    // Decoded once per Init: every slice this worker serves reuses it.
+    let code = Code::new(&program);
     let mut pool = LocalPool::new(
         &program,
+        &code,
         size,
         FuncId(entry),
         &mut no_args,
         gpu,
         fault.map(|b| *b),
-        None,
     );
     // Ack Init: the coordinator blocks on this before seeding state.
     write_frame(&mut stream, &proto::encode_resp(&Resp::Ok))?;

@@ -527,6 +527,7 @@ pub fn read_thread(r: &mut Reader, program: &Program) -> Result<Thread, CkptErro
         frames,
         pending_dst,
         done,
+        spare: Vec::new(),
     })
 }
 
@@ -661,7 +662,7 @@ mod tests {
         let mut p = Program::default();
         let entry = p.add_func(fb.finish().unwrap());
 
-        let t = Thread::new(&p, entry, vec![]).unwrap();
+        let t = Thread::new(&crate::Code::new(&p), entry, vec![]).unwrap();
         let mut w = begin(TAG_WORLD);
         write_thread(&mut w, &t);
         let bytes = finish(w);

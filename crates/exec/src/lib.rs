@@ -23,16 +23,20 @@
 #![forbid(unsafe_code)]
 
 pub mod ckpt;
+mod code;
 pub mod fault;
 pub mod pool;
 
 pub use ckpt::CkptError;
+pub use code::Code;
 pub use fault::{FaultConfig, FaultPlan, FaultRng, MsgFault, ResilienceStats, TransportFault};
 pub use pool::{ExecMode, Executor, ExecutorCfg, SimExecutor, ThreadExecutor};
 
+use code::Op;
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use nir::{ElemTy, FuncId, Instr, IntrinOp, Program, Reg};
+use std::ops::{Add, Div, Mul, Rem, Sub};
 
 /// A runtime value: primitives plus array/object handles into a
 /// [`MemSpace`] / [`ObjHeap`].
@@ -49,59 +53,33 @@ pub enum Val {
     Unit,
 }
 
-impl Val {
-    pub fn as_i32(self) -> Result<i32, ExecError> {
-        match self {
-            Val::I32(v) => Ok(v),
-            other => Err(ExecError::msg(format!("expected i32, found {other:?}"))),
+/// `Val::as_*` accessors: the payload, or a typed error naming what was
+/// found instead.
+macro_rules! accessors {
+    ($($name:ident: $v:ident -> $t:ty, $what:literal;)*) => {
+        impl Val {
+            $(pub fn $name(self) -> Result<$t, ExecError> {
+                match self {
+                    Val::$v(v) => Ok(v),
+                    other => Err(expected($what, other)),
+                }
+            })*
         }
-    }
+    };
+}
+accessors! {
+    as_i32: I32 -> i32, "i32";
+    as_i64: I64 -> i64, "i64";
+    as_f32: F32 -> f32, "f32";
+    as_f64: F64 -> f64, "f64";
+    as_bool: Bool -> bool, "bool";
+    as_arr: Arr -> u32, "array handle";
+    as_obj: Obj -> u32, "object handle";
+}
 
-    pub fn as_i64(self) -> Result<i64, ExecError> {
-        match self {
-            Val::I64(v) => Ok(v),
-            other => Err(ExecError::msg(format!("expected i64, found {other:?}"))),
-        }
-    }
-
-    pub fn as_f32(self) -> Result<f32, ExecError> {
-        match self {
-            Val::F32(v) => Ok(v),
-            other => Err(ExecError::msg(format!("expected f32, found {other:?}"))),
-        }
-    }
-
-    pub fn as_f64(self) -> Result<f64, ExecError> {
-        match self {
-            Val::F64(v) => Ok(v),
-            other => Err(ExecError::msg(format!("expected f64, found {other:?}"))),
-        }
-    }
-
-    pub fn as_bool(self) -> Result<bool, ExecError> {
-        match self {
-            Val::Bool(v) => Ok(v),
-            other => Err(ExecError::msg(format!("expected bool, found {other:?}"))),
-        }
-    }
-
-    pub fn as_arr(self) -> Result<u32, ExecError> {
-        match self {
-            Val::Arr(v) => Ok(v),
-            other => Err(ExecError::msg(format!(
-                "expected array handle, found {other:?}"
-            ))),
-        }
-    }
-
-    pub fn as_obj(self) -> Result<u32, ExecError> {
-        match self {
-            Val::Obj(v) => Ok(v),
-            other => Err(ExecError::msg(format!(
-                "expected object handle, found {other:?}"
-            ))),
-        }
-    }
+#[cold]
+fn expected(what: &str, found: Val) -> ExecError {
+    ExecError::msg(format!("expected {what}, found {found:?}"))
 }
 
 /// Typed array storage within a memory space.
@@ -143,42 +121,55 @@ impl ArrStore {
     }
 
     pub fn get(&self, i: usize) -> Result<Val, ExecError> {
-        let n = self.len()?;
-        if i >= n {
-            return Err(ExecError::msg(format!(
-                "array index {i} out of bounds (len {n})"
-            )));
-        }
-        Ok(match self {
-            ArrStore::I32(v) => Val::I32(v[i]),
-            ArrStore::I64(v) => Val::I64(v[i]),
-            ArrStore::F32(v) => Val::F32(v[i]),
-            ArrStore::F64(v) => Val::F64(v[i]),
-            ArrStore::Bool(v) => Val::Bool(v[i]),
-            ArrStore::Freed => unreachable!(),
-        })
+        let mut v = Val::Unit;
+        self.read(i, &mut v).map(|()| v)
+    }
+
+    /// Element `i` into `dst` with a single match on the storage (the
+    /// loop writes straight into a register); errors take the checked
+    /// path for their exact text.
+    #[inline(always)]
+    fn read(&self, i: usize, dst: &mut Val) -> Result<(), ExecError> {
+        let hit = match self {
+            ArrStore::F32(v) => v.get(i).map(|x| *dst = Val::F32(*x)),
+            ArrStore::F64(v) => v.get(i).map(|x| *dst = Val::F64(*x)),
+            ArrStore::I32(v) => v.get(i).map(|x| *dst = Val::I32(*x)),
+            ArrStore::I64(v) => v.get(i).map(|x| *dst = Val::I64(*x)),
+            ArrStore::Bool(v) => v.get(i).map(|x| *dst = Val::Bool(*x)),
+            ArrStore::Freed => None,
+        };
+        hit.map_or_else(|| Err(self.miss(i, None)), Ok)
     }
 
     pub fn set(&mut self, i: usize, val: Val) -> Result<(), ExecError> {
-        let n = self.len()?;
-        if i >= n {
-            return Err(ExecError::msg(format!(
-                "array index {i} out of bounds (len {n})"
-            )));
-        }
-        match (self, val) {
-            (ArrStore::I32(v), Val::I32(x)) => v[i] = x,
-            (ArrStore::I64(v), Val::I64(x)) => v[i] = x,
-            (ArrStore::F32(v), Val::F32(x)) => v[i] = x,
-            (ArrStore::F64(v), Val::F64(x)) => v[i] = x,
-            (ArrStore::Bool(v), Val::Bool(x)) => v[i] = x,
-            (s, x) => {
-                return Err(ExecError::msg(format!(
-                    "type mismatch storing {x:?} into {s:?}"
-                )))
+        self.write(i, &val)
+    }
+
+    /// [`ArrStore::set`] from a register, read in place.
+    #[inline(always)]
+    fn write(&mut self, i: usize, val: &Val) -> Result<(), ExecError> {
+        let hit = match (&mut *self, val) {
+            (ArrStore::F32(v), Val::F32(x)) => v.get_mut(i).map(|s| *s = *x),
+            (ArrStore::F64(v), Val::F64(x)) => v.get_mut(i).map(|s| *s = *x),
+            (ArrStore::I32(v), Val::I32(x)) => v.get_mut(i).map(|s| *s = *x),
+            (ArrStore::I64(v), Val::I64(x)) => v.get_mut(i).map(|s| *s = *x),
+            (ArrStore::Bool(v), Val::Bool(x)) => v.get_mut(i).map(|s| *s = *x),
+            _ => None,
+        };
+        hit.map_or_else(|| Err(self.miss(i, Some(*val))), Ok)
+    }
+
+    /// Why element `i` could not be read (or `val` stored): freed, out of
+    /// bounds, or a type mismatch, checked in that order.
+    #[cold]
+    fn miss(&self, i: usize, val: Option<Val>) -> ExecError {
+        match (self.len(), val) {
+            (Err(e), _) => e,
+            (Ok(n), _) if i >= n => {
+                ExecError::msg(format!("array index {i} out of bounds (len {n})"))
             }
+            (_, x) => ExecError::msg(format!("type mismatch storing {x:?} into {self:?}")),
         }
-        Ok(())
     }
 }
 
@@ -496,6 +487,17 @@ struct Frame {
     ret_to: Option<Reg>,
 }
 
+impl Frame {
+    fn new(func: FuncId, regs: Vec<Val>, ret_to: Option<Reg>) -> Frame {
+        Frame {
+            func,
+            pc: 0,
+            regs,
+            ret_to,
+        }
+    }
+}
+
 /// A resumable execution context (call stack). CUDA threads, MPI ranks,
 /// and plain host executions are all `Thread`s.
 #[derive(Debug)]
@@ -504,35 +506,25 @@ pub struct Thread {
     /// Where to deliver a value provided by `resume_with`.
     pending_dst: Option<Reg>,
     done: bool,
+    /// Register files of returned frames, reused by later calls.
+    spare: Vec<Vec<Val>>,
 }
 
 impl Thread {
     /// Create a thread poised to execute `func(args)`.
-    pub fn new(program: &Program, func: FuncId, args: Vec<Val>) -> Result<Thread, ExecError> {
-        let f = program.func(func);
-        if f.params.len() != args.len() {
-            return Err(ExecError {
-                message: format!(
-                    "`{}` expects {} args, got {}",
-                    f.name,
-                    f.params.len(),
-                    args.len()
-                ),
-                func: f.name.clone(),
-                pc: 0,
-            });
+    pub fn new(code: &Code, func: FuncId, args: Vec<Val>) -> Result<Thread, ExecError> {
+        let f = code.func(func);
+        if f.params != args.len() {
+            let message = format!("`{}` expects {} args, got {}", f.name, f.params, args.len());
+            return Err(ExecError::msg(message).at(&f.name, 0));
         }
-        let mut regs = vec![Val::Unit; f.regs.len()];
+        let mut regs = vec![Val::Unit; f.nregs];
         regs[..args.len()].copy_from_slice(&args);
         Ok(Thread {
-            frames: vec![Frame {
-                func,
-                pc: 0,
-                regs,
-                ret_to: None,
-            }],
+            frames: vec![Frame::new(func, regs, None)],
             pending_dst: None,
             done: false,
+            spare: Vec::new(),
         })
     }
 
@@ -570,9 +562,14 @@ const MAX_DEPTH: usize = 256;
 
 /// Run `thread` until completion, a yield point, or `fuel` retired
 /// instructions.
+///
+/// This is the engine's one dispatch loop. The innermost frame is moved
+/// out of the call stack for the duration, so its registers and its
+/// function's op stream are plain locals; only `Call` and `Ret` swap
+/// them. Counters accumulate in locals and are flushed on every exit.
 pub fn run(
     thread: &mut Thread,
-    program: &Program,
+    code: &Code,
     machine: &mut Machine,
     mut fuel: u64,
 ) -> Result<Yield, ExecError> {
@@ -584,480 +581,450 @@ pub fn run(
     if let Some(plan) = machine.fault.as_mut() {
         fuel = plan.slice_fuel(fuel);
     }
-    loop {
-        if fuel == 0 {
-            return Ok(Yield::OutOfFuel);
-        }
-        let (func_id, pc) = {
-            let top = thread.frames.last().unwrap();
-            (top.func, top.pc)
-        };
-        let f = program.func(func_id);
-        let err = |e: ExecError| e.at(&f.name, pc);
-        if pc as usize >= f.code.len() {
-            return Err(err("fell off the end of function".into()));
-        }
-        let ins = &f.code[pc as usize];
-        machine.counters.instrs += 1;
-        machine.counters.cycles += weight(ins);
-        fuel -= 1;
+    let Some(mut cur) = thread.frames.pop() else {
+        return Err("thread has no frame".into());
+    };
+    let out = dispatch(thread, &mut cur, code, machine, fuel);
+    let out = out.map_err(|e| e.at(&code.func(cur.func).name, cur.pc));
+    // A returning entry frame is consumed; every other exit (yield,
+    // fuel, crash, error) leaves it on the stack, pc at the stop point.
+    if !matches!(out, Ok(Yield::Done(_))) {
+        thread.frames.push(cur);
+    }
+    out
+}
 
-        // Helpers on the current frame.
-        macro_rules! reg {
+fn dispatch(
+    thread: &mut Thread,
+    cur: &mut Frame,
+    code: &Code,
+    machine: &mut Machine,
+    fuel: u64,
+) -> Result<Yield, ExecError> {
+    let mut ops = &code.func(cur.func).ops[..];
+    let mut pc = cur.pc as usize;
+    let mut regs = std::mem::take(&mut cur.regs);
+    let mut left = fuel;
+    let mut cycles = 0u64;
+    // Every exit breaks out of the loop with its outcome; the counters,
+    // the stop pc (the faulting pc for errors) and the registers are
+    // written back once, below.
+    let out = 'run: loop {
+        macro_rules! tri {
+            ($e:expr) => {
+                match $e {
+                    Ok(v) => v,
+                    Err(e) => break 'run Err(ExecError::from(e)),
+                }
+            };
+        }
+        macro_rules! r {
             ($r:expr) => {
-                thread.frames.last().unwrap().regs[$r as usize]
+                regs[*$r as usize]
             };
         }
-        macro_rules! set {
-            ($r:expr, $v:expr) => {
-                thread.frames.last_mut().unwrap().regs[$r as usize] = $v
-            };
-        }
-        macro_rules! bump {
-            () => {
-                thread.frames.last_mut().unwrap().pc = pc + 1
-            };
-        }
-        // Fault injection: yield points are the places an execution
-        // context can crash. The draw happens *before* the yield is
-        // surfaced, so the runtime never services an op the crashed rank
-        // would not have issued.
-        macro_rules! crash_check {
-            () => {
-                if let Some(plan) = machine.fault.as_mut() {
-                    if plan.crash_at_yield() {
-                        thread.done = true;
-                        return Ok(Yield::Crashed {
-                            step: machine.counters.instrs,
-                        });
-                    }
+        // A register's payload read in place (a whole-value copy would
+        // stall on the narrow stores that wrote it); a wrong tag takes the
+        // checked accessor, which makes the error.
+        macro_rules! get {
+            ($r:expr, $v:ident, $as:ident) => {
+                match &r!($r) {
+                    Val::$v(x) => *x,
+                    other => tri!(other.$as()),
                 }
             };
         }
-
-        match ins {
-            Instr::ConstI32(d, v) => {
-                set!(*d, Val::I32(*v));
-                bump!();
-            }
-            Instr::ConstI64(d, v) => {
-                set!(*d, Val::I64(*v));
-                bump!();
-            }
-            Instr::ConstF32(d, v) => {
-                set!(*d, Val::F32(*v));
-                bump!();
-            }
-            Instr::ConstF64(d, v) => {
-                set!(*d, Val::F64(*v));
-                bump!();
-            }
-            Instr::ConstBool(d, v) => {
-                set!(*d, Val::Bool(*v));
-                bump!();
-            }
-            Instr::Mov(d, s) => {
-                let v = reg!(*s);
-                set!(*d, v);
-                bump!();
-            }
-            Instr::Bin {
-                op,
-                kind,
-                dst,
-                lhs,
-                rhs,
-            } => {
-                let v = binop(*op, *kind, reg!(*lhs), reg!(*rhs)).map_err(err)?;
-                set!(*dst, v);
-                bump!();
-            }
-            Instr::Neg { kind, dst, src } => {
-                let v = match (kind, reg!(*src)) {
-                    (PrimKind::Int, Val::I32(x)) => Val::I32(x.wrapping_neg()),
-                    (PrimKind::Long, Val::I64(x)) => Val::I64(x.wrapping_neg()),
-                    (PrimKind::Float, Val::F32(x)) => Val::F32(-x),
-                    (PrimKind::Double, Val::F64(x)) => Val::F64(-x),
-                    (k, v) => return Err(err(format!("bad neg {k:?} on {v:?}").into())),
+        // An array access's handle and index, read in place; anything
+        // else takes the checked `index`, which makes the error.
+        macro_rules! at {
+            ($a:expr, $i:expr) => {
+                match (&r!($a), &r!($i)) {
+                    (Val::Arr(h), Val::I32(i)) if *i >= 0 => (*h, *i as usize),
+                    _ => tri!(index(r!($a), r!($i))),
+                }
+            };
+        }
+        // A kind-specialised binary op: the two operand tags are matched
+        // once; mismatched tags and failing ops (division by zero) take
+        // the checked path, which produces the exact error.
+        macro_rules! bin {
+            ($in:ident, $out:ident, $kind:ident, $o:expr, $d:expr, $a:expr, $b:expr, $f:expr) => {{
+                let v = match (&r!($a), &r!($b)) {
+                    (Val::$in(x), Val::$in(y)) => $f(*$o, *x, *y),
+                    _ => None,
                 };
-                set!(*dst, v);
-                bump!();
+                match v {
+                    Some(v) => r!($d) = Val::$out(v),
+                    None => r!($d) = tri!(binop(*$o, PrimKind::$kind, r!($a), r!($b))),
+                }
+            }};
+        }
+        // Push the running frame and enter `f` with `args`.
+        macro_rules! call {
+            ($f:expr, $args:expr, $dst:expr) => {{
+                let callee = tri!(enter(code, thread, $f, $args.iter().map(|a| r!(a))));
+                cur.regs = std::mem::replace(&mut regs, callee);
+                cur.pc = pc as u32 + 1;
+                let caller = std::mem::replace(cur, Frame::new($f, Vec::new(), $dst));
+                thread.frames.push(caller);
+                ops = &code.func($f).ops;
+                pc = 0;
+                continue;
+            }};
+        }
+        if left == 0 {
+            break Ok(Yield::OutOfFuel);
+        }
+        let Some((op, w)) = ops.get(pc) else {
+            break Err("fell off the end of function".into());
+        };
+        left -= 1;
+        cycles += w;
+        match op {
+            Op::Const(d, v) => r!(d) = *v,
+            // Copied by tag, so the read matches the narrow stores that
+            // wrote the source (a whole-value copy would stall on them).
+            Op::Mov(d, s) => match r!(s) {
+                Val::I32(x) => r!(d) = Val::I32(x),
+                Val::F32(x) => r!(d) = Val::F32(x),
+                v => r!(d) = v,
+            },
+            Op::ArithI(o, d, a, b) => bin!(I32, I32, Int, o, d, a, b, int_arith),
+            Op::CmpI(o, d, a, b) => bin!(I32, Bool, Int, o, d, a, b, compare),
+            Op::ArithF(o, d, a, b) => bin!(F32, F32, Float, o, d, a, b, float_arith),
+            Op::CmpF(o, d, a, b) => bin!(F32, Bool, Float, o, d, a, b, compare),
+            Op::ArithD(o, d, a, b) => bin!(F64, F64, Double, o, d, a, b, float_arith),
+            Op::CmpD(o, d, a, b) => bin!(F64, Bool, Double, o, d, a, b, compare),
+            Op::Not(d, s) => r!(d) = Val::Bool(!get!(s, Bool, as_bool)),
+            Op::Cast(to, d, s) => r!(d) = tri!(numcast(*to, r!(s))),
+            Op::Jmp(t) => {
+                pc = *t as usize;
+                continue;
             }
-            Instr::Not { dst, src } => {
-                let v = reg!(*src).as_bool().map_err(err)?;
-                set!(*dst, Val::Bool(!v));
-                bump!();
+            Op::Br(c, t, f) => {
+                pc = if get!(c, Bool, as_bool) { *t } else { *f } as usize;
+                continue;
             }
-            Instr::Cast { to, dst, src, .. } => {
-                let v = numcast(*to, reg!(*src)).map_err(err)?;
-                set!(*dst, v);
-                bump!();
-            }
-            Instr::Jmp(t) => {
-                thread.frames.last_mut().unwrap().pc = *t;
-            }
-            Instr::Br { cond, t, f: fl } => {
-                let c = reg!(*cond).as_bool().map_err(err)?;
-                thread.frames.last_mut().unwrap().pc = if c { *t } else { *fl };
-            }
-            Instr::Ret(r) => {
-                let v = r.map(|r| reg!(r));
-                let finished = thread.frames.pop().unwrap();
-                if let Some(caller) = thread.frames.last_mut() {
-                    if let Some(dst) = finished.ret_to {
-                        caller.regs[dst as usize] = v.unwrap_or(Val::Unit);
-                    }
-                } else {
+            Op::Ret(v) => {
+                let v = v.map(|v| r!(&v));
+                let Some(caller) = thread.frames.pop() else {
                     thread.done = true;
-                    return Ok(Yield::Done(v));
-                }
-            }
-            Instr::CallHost { host, args, dst } => {
-                crash_check!();
-                let argv: Vec<Val> = args.iter().map(|a| reg!(*a)).collect();
-                thread.pending_dst = *dst;
-                bump!();
-                return Ok(Yield::Host {
-                    host: *host,
-                    args: argv,
-                });
-            }
-            Instr::Call { func, args, dst } => {
-                if thread.frames.len() >= MAX_DEPTH {
-                    return Err(err("call depth limit exceeded".into()));
-                }
-                let callee = program.func(*func);
-                let mut regs = vec![Val::Unit; callee.regs.len()];
-                for (i, a) in args.iter().enumerate() {
-                    regs[i] = reg!(*a);
-                }
-                bump!();
-                thread.frames.push(Frame {
-                    func: *func,
-                    pc: 0,
-                    regs,
-                    ret_to: *dst,
-                });
-            }
-            Instr::NewObj { class, dst } => {
-                let meta = &program.classes[*class as usize];
-                let h = machine.objs.alloc(*class, meta.field_count as usize);
-                set!(*dst, Val::Obj(h));
-                bump!();
-            }
-            Instr::GetField { obj, slot, dst } => {
-                let h = reg!(*obj).as_obj().map_err(err)?;
-                let v = machine.objs.get(h, *slot).map_err(err)?;
-                set!(*dst, v);
-                bump!();
-            }
-            Instr::PutField { obj, slot, src } => {
-                let h = reg!(*obj).as_obj().map_err(err)?;
-                let v = reg!(*src);
-                machine.objs.set(h, *slot, v).map_err(err)?;
-                bump!();
-            }
-            Instr::CallVirt {
-                selector,
-                recv,
-                args,
-                dst,
-            } => {
-                if thread.frames.len() >= MAX_DEPTH {
-                    return Err(err("call depth limit exceeded".into()));
-                }
-                let h = reg!(*recv).as_obj().map_err(err)?;
-                let class = machine.objs.class_of(h).map_err(err)?;
-                let meta = &program.classes[class as usize];
-                let target = meta
-                    .vtable
-                    .iter()
-                    .find(|(s, _)| s == selector)
-                    .map(|(_, f)| *f)
-                    .ok_or_else(|| {
-                        err(ExecError::msg(format!(
-                            "class `{}` has no vtable entry for `{}`",
-                            meta.name, program.selectors[*selector as usize]
-                        )))
-                    })?;
-                let callee = program.func(target);
-                let mut regs = vec![Val::Unit; callee.regs.len()];
-                regs[0] = Val::Obj(h);
-                for (i, a) in args.iter().enumerate() {
-                    regs[i + 1] = reg!(*a);
-                }
-                bump!();
-                thread.frames.push(Frame {
-                    func: target,
-                    pc: 0,
-                    regs,
-                    ret_to: *dst,
-                });
-            }
-            Instr::NewArr { elem, len, dst } => {
-                let n = reg!(*len).as_i32().map_err(err)?;
-                if n < 0 {
-                    return Err(err(format!("negative array size {n}").into()));
-                }
-                // Charge zero-fill cost proportional to the allocation.
-                machine.counters.cycles += (n as u64) / 16;
-                let h = machine.mem.alloc(ArrStore::new(*elem, n as usize));
-                set!(*dst, Val::Arr(h));
-                bump!();
-            }
-            Instr::LdArr { arr, idx, dst } => {
-                let h = reg!(*arr).as_arr().map_err(err)?;
-                let i = reg!(*idx).as_i32().map_err(err)?;
-                if i < 0 {
-                    return Err(err(format!("negative index {i}").into()));
-                }
-                let v = machine
-                    .mem
-                    .arr(h)
-                    .map_err(err)?
-                    .get(i as usize)
-                    .map_err(err)?;
-                set!(*dst, v);
-                bump!();
-            }
-            Instr::StArr { arr, idx, src } => {
-                let h = reg!(*arr).as_arr().map_err(err)?;
-                let i = reg!(*idx).as_i32().map_err(err)?;
-                if i < 0 {
-                    return Err(err(format!("negative index {i}").into()));
-                }
-                let v = reg!(*src);
-                machine
-                    .mem
-                    .arr_mut(h)
-                    .map_err(err)?
-                    .set(i as usize, v)
-                    .map_err(err)?;
-                bump!();
-            }
-            Instr::ArrLen { arr, dst } => {
-                let h = reg!(*arr).as_arr().map_err(err)?;
-                let n = machine.mem.arr(h).map_err(err)?.len().map_err(err)?;
-                set!(*dst, Val::I32(n as i32));
-                bump!();
-            }
-            Instr::FreeArr { arr } => {
-                let h = reg!(*arr).as_arr().map_err(err)?;
-                machine.mem.free(h).map_err(err)?;
-                bump!();
-            }
-            Instr::Intrin { op, args, dst } => {
-                let argv: Vec<Val> = args.iter().map(|a| reg!(*a)).collect();
-                match op {
-                    IntrinOp::SqrtF64 => {
-                        let x = argv[0].as_f64().map_err(err)?;
-                        set!(dst.unwrap(), Val::F64(x.sqrt()));
-                        bump!();
-                    }
-                    IntrinOp::SqrtF32 => {
-                        let x = argv[0].as_f32().map_err(err)?;
-                        set!(dst.unwrap(), Val::F32(x.sqrt()));
-                        bump!();
-                    }
-                    IntrinOp::PowF64 => {
-                        let x = argv[0].as_f64().map_err(err)?;
-                        let y = argv[1].as_f64().map_err(err)?;
-                        set!(dst.unwrap(), Val::F64(x.powf(y)));
-                        bump!();
-                    }
-                    IntrinOp::ExpF64 => {
-                        let x = argv[0].as_f64().map_err(err)?;
-                        set!(dst.unwrap(), Val::F64(x.exp()));
-                        bump!();
-                    }
-                    IntrinOp::AbsF32 => {
-                        let x = argv[0].as_f32().map_err(err)?;
-                        set!(dst.unwrap(), Val::F32(x.abs()));
-                        bump!();
-                    }
-                    IntrinOp::AbsF64 => {
-                        let x = argv[0].as_f64().map_err(err)?;
-                        set!(dst.unwrap(), Val::F64(x.abs()));
-                        bump!();
-                    }
-                    IntrinOp::AbsI32 => {
-                        let x = argv[0].as_i32().map_err(err)?;
-                        set!(dst.unwrap(), Val::I32(x.wrapping_abs()));
-                        bump!();
-                    }
-                    IntrinOp::MinI32 | IntrinOp::MaxI32 => {
-                        let x = argv[0].as_i32().map_err(err)?;
-                        let y = argv[1].as_i32().map_err(err)?;
-                        let v = if matches!(op, IntrinOp::MinI32) {
-                            x.min(y)
-                        } else {
-                            x.max(y)
-                        };
-                        set!(dst.unwrap(), Val::I32(v));
-                        bump!();
-                    }
-                    IntrinOp::MinF32 | IntrinOp::MaxF32 => {
-                        let x = argv[0].as_f32().map_err(err)?;
-                        let y = argv[1].as_f32().map_err(err)?;
-                        let v = if matches!(op, IntrinOp::MinF32) {
-                            x.min(y)
-                        } else {
-                            x.max(y)
-                        };
-                        set!(dst.unwrap(), Val::F32(v));
-                        bump!();
-                    }
-                    IntrinOp::PrintI32
-                    | IntrinOp::PrintI64
-                    | IntrinOp::PrintF32
-                    | IntrinOp::PrintF64
-                    | IntrinOp::PrintBool => {
-                        let line = match argv[0] {
-                            Val::I32(v) => v.to_string(),
-                            Val::I64(v) => v.to_string(),
-                            Val::F32(v) => format!("{v}"),
-                            Val::F64(v) => format!("{v}"),
-                            Val::Bool(v) => v.to_string(),
-                            other => return Err(err(format!("bad print arg {other:?}").into())),
-                        };
-                        machine.output.push(line);
-                        bump!();
-                    }
-                    IntrinOp::ArrayCopyF32 => {
-                        let src = argv[0].as_arr().map_err(err)?;
-                        let spos = argv[1].as_i32().map_err(err)? as usize;
-                        let dsth = argv[2].as_arr().map_err(err)?;
-                        let dpos = argv[3].as_i32().map_err(err)? as usize;
-                        let n = argv[4].as_i32().map_err(err)? as usize;
-                        machine.counters.cycles += (n as u64) / 8;
-                        let data: Vec<f32> = match machine.mem.arr(src).map_err(err)? {
-                            ArrStore::F32(v) => v
-                                .get(spos..spos + n)
-                                .ok_or_else(|| err("arraycopy src out of range".into()))?
-                                .to_vec(),
-                            _ => return Err(err("arraycopy on non-f32 array".into())),
-                        };
-                        match machine.mem.arr_mut(dsth).map_err(err)? {
-                            ArrStore::F32(v) => {
-                                let tgt = v
-                                    .get_mut(dpos..dpos + n)
-                                    .ok_or_else(|| err("arraycopy dst out of range".into()))?;
-                                tgt.copy_from_slice(&data);
-                            }
-                            _ => return Err(err("arraycopy on non-f32 array".into())),
-                        }
-                        bump!();
-                    }
-                    // CUDA thread-register reads are serviced by gpu-sim:
-                    // yield with the op so the runtime substitutes the
-                    // coordinate of the executing CUDA thread.
-                    IntrinOp::ThreadIdx(_)
-                    | IntrinOp::BlockIdx(_)
-                    | IntrinOp::BlockDim(_)
-                    | IntrinOp::GridDim(_) => {
-                        crash_check!();
-                        thread.pending_dst = *dst;
-                        bump!();
-                        return Ok(Yield::GpuMem {
-                            op: *op,
-                            args: argv,
-                        });
-                    }
-                    IntrinOp::CopyToGpu
-                    | IntrinOp::CopyFromGpu
-                    | IntrinOp::CopyToGpuRange
-                    | IntrinOp::CopyFromGpuRange
-                    | IntrinOp::GpuAllocF32
-                    | IntrinOp::GpuFree => {
-                        crash_check!();
-                        thread.pending_dst = *dst;
-                        bump!();
-                        return Ok(Yield::GpuMem {
-                            op: *op,
-                            args: argv,
-                        });
-                    }
-                    IntrinOp::MpiRank
-                    | IntrinOp::MpiSize
-                    | IntrinOp::MpiBarrier
-                    | IntrinOp::MpiSendF32
-                    | IntrinOp::MpiRecvF32
-                    | IntrinOp::MpiSendRecvF32
-                    | IntrinOp::MpiBcastF32
-                    | IntrinOp::MpiAllreduceSumF64
-                    | IntrinOp::MpiAllreduceSumF32
-                    | IntrinOp::MpiAllreduceMaxF64 => {
-                        crash_check!();
-                        thread.pending_dst = *dst;
-                        bump!();
-                        return Ok(Yield::Mpi {
-                            op: *op,
-                            args: argv,
-                        });
-                    }
-                }
-            }
-            Instr::Launch {
-                kernel,
-                grid,
-                block,
-                args,
-            } => {
-                let rd = |r: Reg| -> Result<u32, ExecError> {
-                    let v = reg!(r).as_i32().map_err(err)?;
-                    if v <= 0 {
-                        Err(err(format!("non-positive launch dimension {v}").into()))
-                    } else {
-                        Ok(v as u32)
-                    }
+                    break Ok(Yield::Done(v));
                 };
-                crash_check!();
-                let g = [rd(grid[0])?, rd(grid[1])?, rd(grid[2])?];
-                let b = [rd(block[0])?, rd(block[1])?, rd(block[2])?];
-                let argv: Vec<Val> = args.iter().map(|a| reg!(*a)).collect();
-                thread.pending_dst = None;
-                bump!();
-                return Ok(Yield::Launch {
-                    kernel: *kernel,
-                    grid: g,
-                    block: b,
-                    args: argv,
-                });
-            }
-            Instr::SharedAlloc { elem, len, dst } => {
-                crash_check!();
-                let n = reg!(*len).as_i32().map_err(err)?;
-                if n < 0 {
-                    return Err(err(format!("negative shared allocation {n}").into()));
+                let done = std::mem::replace(cur, caller);
+                thread
+                    .spare
+                    .push(std::mem::replace(&mut regs, std::mem::take(&mut cur.regs)));
+                if let Some(dst) = done.ret_to {
+                    regs[dst as usize] = v.unwrap_or(Val::Unit);
                 }
-                thread.pending_dst = Some(*dst);
-                bump!();
-                return Ok(Yield::SharedAlloc {
-                    elem: *elem,
-                    len: n as usize,
-                    pc,
-                });
+                ops = &code.func(cur.func).ops;
+                pc = cur.pc as usize;
+                continue;
             }
-            Instr::Sync => {
-                crash_check!();
-                bump!();
-                return Ok(Yield::Sync);
+            Op::Call(f, args, dst) => call!(*f, args, *dst),
+            Op::CallVirt(sel, args, dst) => {
+                let f = tri!(resolve(
+                    code,
+                    &machine.objs,
+                    get!(&args[0], Obj, as_obj),
+                    *sel
+                ));
+                call!(f, args, *dst)
+            }
+            Op::GetField(o, slot, d) => {
+                let h = get!(o, Obj, as_obj);
+                r!(d) = tri!(machine.objs.get(h, *slot));
+            }
+            Op::PutField(o, slot, s) => {
+                let h = get!(o, Obj, as_obj);
+                tri!(machine.objs.set(h, *slot, r!(s)));
+            }
+            Op::LdArr(a, i, d) => {
+                let (h, i) = at!(a, i);
+                tri!(machine.mem.arr(h).and_then(|arr| arr.read(i, &mut r!(d))));
+            }
+            Op::StArr(a, i, s) => {
+                let (h, i) = at!(a, i);
+                tri!(machine.mem.arr_mut(h).and_then(|arr| arr.write(i, &r!(s))));
+            }
+            Op::ArrLen(a, d) => {
+                let h = get!(a, Arr, as_arr);
+                r!(d) = Val::I32(tri!(machine.mem.arr(h).and_then(ArrStore::len)) as i32);
+            }
+            _ => {
+                let retired = machine.counters.instrs + (fuel - left);
+                match tri!(rare(op, pc, &mut regs, thread, code, machine, retired)) {
+                    None => {}
+                    Some(y @ Yield::Crashed { .. }) => break Ok(y),
+                    Some(y) => {
+                        pc += 1;
+                        break Ok(y);
+                    }
+                }
+            }
+        }
+        pc += 1;
+    };
+    machine.counters.instrs += fuel - left;
+    machine.counters.cycles += cycles;
+    cur.pc = pc as u32;
+    cur.regs = regs;
+    out
+}
+
+/// The ops that are rare, costly or yield, kept out of the loop body.
+/// `Some(yield)` stops the slice; the loop advances the pc past every
+/// yield except a crash.
+#[inline(never)]
+fn rare(
+    op: &Op,
+    pc: usize,
+    regs: &mut [Val],
+    thread: &mut Thread,
+    code: &Code,
+    machine: &mut Machine,
+    retired: u64,
+) -> Result<Option<Yield>, ExecError> {
+    let argv = |args: &[Reg]| -> Vec<Val> { args.iter().map(|a| regs[*a as usize]).collect() };
+    // Fault injection: yield points are the places an execution context
+    // can crash. The draw happens *before* the yield is surfaced, so the
+    // runtime never services an op the crashed rank would not have issued.
+    if let Op::CallHost(..)
+    | Op::Mpi(..)
+    | Op::Device(..)
+    | Op::Launch(..)
+    | Op::SharedAlloc(..)
+    | Op::Sync = op
+    {
+        if let Some(plan) = machine.fault.as_mut() {
+            if plan.crash_at_yield() {
+                thread.done = true;
+                return Ok(Some(Yield::Crashed { step: retired }));
             }
         }
     }
+    let y = match op {
+        Op::Bin(o, k, d, a, b) => {
+            regs[*d as usize] = binop(*o, *k, regs[*a as usize], regs[*b as usize])?;
+            return Ok(None);
+        }
+        Op::Neg(k, d, s) => {
+            regs[*d as usize] = match (k, regs[*s as usize]) {
+                (PrimKind::Int, Val::I32(x)) => Val::I32(x.wrapping_neg()),
+                (PrimKind::Long, Val::I64(x)) => Val::I64(x.wrapping_neg()),
+                (PrimKind::Float, Val::F32(x)) => Val::F32(-x),
+                (PrimKind::Double, Val::F64(x)) => Val::F64(-x),
+                (k, v) => return Err(format!("bad neg {k:?} on {v:?}").into()),
+            };
+            return Ok(None);
+        }
+        Op::NewObj(class, d) => {
+            let fields = code.classes[*class as usize].field_count as usize;
+            regs[*d as usize] = Val::Obj(machine.objs.alloc(*class, fields));
+            return Ok(None);
+        }
+        Op::NewArr(elem, n, d) => {
+            let n = regs[*n as usize].as_i32()?;
+            if n < 0 {
+                return Err(format!("negative array size {n}").into());
+            }
+            // Charge zero-fill cost proportional to the allocation.
+            machine.counters.cycles += (n as u64) / 16;
+            regs[*d as usize] = Val::Arr(machine.mem.alloc(ArrStore::new(*elem, n as usize)));
+            return Ok(None);
+        }
+        Op::FreeArr(a) => {
+            machine.mem.free(regs[*a as usize].as_arr()?)?;
+            return Ok(None);
+        }
+        Op::CallHost(host, args, dst) => {
+            thread.pending_dst = *dst;
+            Yield::Host {
+                host: *host,
+                args: argv(args),
+            }
+        }
+        Op::Mpi(op, args, dst) => {
+            thread.pending_dst = *dst;
+            Yield::Mpi {
+                op: *op,
+                args: argv(args),
+            }
+        }
+        Op::Device(op, args, dst) => {
+            thread.pending_dst = *dst;
+            Yield::GpuMem {
+                op: *op,
+                args: argv(args),
+            }
+        }
+        Op::Intrin(op, args, dst) => {
+            intrinsic(*op, &argv(args), *dst, regs, machine)?;
+            return Ok(None);
+        }
+        Op::Launch(kernel, all) => {
+            let mut dims = [0u32; 6];
+            for (dim, r) in dims.iter_mut().zip(all.iter()) {
+                let v = regs[*r as usize].as_i32()?;
+                if v <= 0 {
+                    return Err(format!("non-positive launch dimension {v}").into());
+                }
+                *dim = v as u32;
+            }
+            thread.pending_dst = None;
+            Yield::Launch {
+                kernel: *kernel,
+                grid: [dims[0], dims[1], dims[2]],
+                block: [dims[3], dims[4], dims[5]],
+                args: argv(&all[6..]),
+            }
+        }
+        Op::SharedAlloc(elem, n, d) => {
+            let n = regs[*n as usize].as_i32()?;
+            if n < 0 {
+                return Err(format!("negative shared allocation {n}").into());
+            }
+            thread.pending_dst = Some(*d);
+            Yield::SharedAlloc {
+                elem: *elem,
+                len: n as usize,
+                pc: pc as u32,
+            }
+        }
+        Op::Sync => Yield::Sync,
+        hot => unreachable!("{hot:?} is dispatched in the loop"),
+    };
+    Ok(Some(y))
+}
+
+/// The intrinsics the engine completes itself: math, printing, copies.
+fn intrinsic(
+    op: IntrinOp,
+    argv: &[Val],
+    dst: Option<Reg>,
+    regs: &mut [Val],
+    machine: &mut Machine,
+) -> Result<(), ExecError> {
+    let arg = |i: usize| argv.get(i).copied().unwrap_or(Val::Unit);
+    let (x, y) = (arg(0), arg(1));
+    let v = match op {
+        IntrinOp::SqrtF64 => Val::F64(x.as_f64()?.sqrt()),
+        IntrinOp::SqrtF32 => Val::F32(x.as_f32()?.sqrt()),
+        IntrinOp::PowF64 => Val::F64(x.as_f64()?.powf(y.as_f64()?)),
+        IntrinOp::ExpF64 => Val::F64(x.as_f64()?.exp()),
+        IntrinOp::AbsF32 => Val::F32(x.as_f32()?.abs()),
+        IntrinOp::AbsF64 => Val::F64(x.as_f64()?.abs()),
+        IntrinOp::AbsI32 => Val::I32(x.as_i32()?.wrapping_abs()),
+        IntrinOp::MinI32 => Val::I32(x.as_i32()?.min(y.as_i32()?)),
+        IntrinOp::MaxI32 => Val::I32(x.as_i32()?.max(y.as_i32()?)),
+        IntrinOp::MinF32 => Val::F32(x.as_f32()?.min(y.as_f32()?)),
+        IntrinOp::MaxF32 => Val::F32(x.as_f32()?.max(y.as_f32()?)),
+        IntrinOp::ArrayCopyF32 => {
+            let (src, spos) = (x.as_arr()?, y.as_i32()? as usize);
+            let (dsth, dpos) = (arg(2).as_arr()?, arg(3).as_i32()? as usize);
+            let n = arg(4).as_i32()? as usize;
+            machine.counters.cycles += (n as u64) / 8;
+            let data: Vec<f32> = match machine.mem.arr(src)? {
+                ArrStore::F32(v) => v
+                    .get(spos..spos + n)
+                    .ok_or("arraycopy src out of range")?
+                    .to_vec(),
+                _ => return Err("arraycopy on non-f32 array".into()),
+            };
+            match machine.mem.arr_mut(dsth)? {
+                ArrStore::F32(v) => v
+                    .get_mut(dpos..dpos + n)
+                    .ok_or("arraycopy dst out of range")?
+                    .copy_from_slice(&data),
+                _ => return Err("arraycopy on non-f32 array".into()),
+            }
+            return Ok(());
+        }
+        // The print family.
+        _ => {
+            machine.output.push(match x {
+                Val::I32(v) => v.to_string(),
+                Val::I64(v) => v.to_string(),
+                Val::F32(v) => format!("{v}"),
+                Val::F64(v) => format!("{v}"),
+                Val::Bool(v) => v.to_string(),
+                other => return Err(format!("bad print arg {other:?}").into()),
+            });
+            return Ok(());
+        }
+    };
+    regs[dst.expect("math intrinsics write a register") as usize] = v;
+    Ok(())
+}
+
+/// The vtable target of `sel` on the receiver's class.
+fn resolve(code: &Code, objs: &ObjHeap, recv: u32, sel: u32) -> Result<FuncId, ExecError> {
+    let class = objs.class_of(recv)?;
+    let meta = &code.classes[class as usize];
+    match meta.vtable.iter().find(|(s, _)| *s == sel) {
+        Some(&(_, f)) => Ok(f),
+        None => Err(ExecError::msg(format!(
+            "class `{}` has no vtable entry for `{}`",
+            meta.name, code.selectors[sel as usize]
+        ))),
+    }
+}
+
+/// A callee frame's registers, arguments in place. Checks the depth
+/// limit and the callee's arity (a mismatch is a typed error naming the
+/// callee; the loop attaches the caller's function and pc).
+fn enter(
+    code: &Code,
+    thread: &mut Thread,
+    f: FuncId,
+    args: impl ExactSizeIterator<Item = Val>,
+) -> Result<Vec<Val>, ExecError> {
+    // The running frame is out of `thread.frames` while the loop runs.
+    if thread.frames.len() + 1 >= MAX_DEPTH {
+        return Err("call depth limit exceeded".into());
+    }
+    let callee = code.func(f);
+    if args.len() != callee.params {
+        return Err(ExecError::msg(format!(
+            "call to `{}` passes {} args, it takes {}",
+            callee.name,
+            args.len(),
+            callee.params
+        )));
+    }
+    let mut regs = thread.spare.pop().unwrap_or_default();
+    regs.clear();
+    regs.extend(args);
+    regs.resize(callee.nregs, Val::Unit);
+    Ok(regs)
+}
+
+/// Array handle and non-negative index, checked in the historical order
+/// (so errors keep their exact text).
+#[inline(always)]
+fn index(arr: Val, idx: Val) -> Result<(u32, usize), ExecError> {
+    let h = arr.as_arr()?;
+    let i = idx.as_i32()?;
+    if i < 0 {
+        return Err(ExecError::msg(format!("negative index {i}")));
+    }
+    Ok((h, i as usize))
 }
 
 /// Convenience: run a function to completion in a machine, servicing no
-/// yields (errors if the program needs MPI/GPU runtimes).
+/// yields (errors if the program needs MPI/GPU runtimes). Decodes the
+/// program for this one run; holders of a [`Code`] call [`run`].
 pub fn run_to_completion(
     program: &Program,
     func: FuncId,
     args: Vec<Val>,
     machine: &mut Machine,
 ) -> Result<Option<Val>, ExecError> {
-    let mut t = Thread::new(program, func, args)?;
+    let code = Code::new(program);
+    let mut t = Thread::new(&code, func, args)?;
     loop {
-        match run(&mut t, program, machine, u64::MAX)? {
+        match run(&mut t, &code, machine, u64::MAX)? {
             Yield::Done(v) => return Ok(v),
             Yield::OutOfFuel => {}
             Yield::Crashed { step } => {
@@ -1066,167 +1033,152 @@ pub fn run_to_completion(
                 )))
             }
             other => {
-                return Err(ExecError {
-                    message: format!(
-                        "program requires a runtime service ({other:?}); use the wootinj facade"
-                    ),
-                    func: String::new(),
-                    pc: 0,
-                })
+                return Err(ExecError::msg(format!(
+                    "program requires a runtime service ({other:?}); use the wootinj facade"
+                )))
             }
         }
     }
 }
 
+/// Checked binary op on tagged values: the loop's path when the operand
+/// tags do not match the op's kind (the error names the bad operand) or
+/// the op fails.
 fn binop(op: BinOp, kind: PrimKind, l: Val, r: Val) -> Result<Val, ExecError> {
-    use BinOp::*;
-    Ok(match kind {
-        PrimKind::Int => {
-            let (a, b) = (l.as_i32()?, r.as_i32()?);
-            match op {
-                Add => Val::I32(a.wrapping_add(b)),
-                Sub => Val::I32(a.wrapping_sub(b)),
-                Mul => Val::I32(a.wrapping_mul(b)),
-                Div => {
-                    if b == 0 {
-                        return Err("division by zero".into());
-                    }
-                    Val::I32(a.wrapping_div(b))
-                }
-                Rem => {
-                    if b == 0 {
-                        return Err("remainder by zero".into());
-                    }
-                    Val::I32(a.wrapping_rem(b))
-                }
-                Lt => Val::Bool(a < b),
-                Le => Val::Bool(a <= b),
-                Gt => Val::Bool(a > b),
-                Ge => Val::Bool(a >= b),
-                Eq => Val::Bool(a == b),
-                Ne => Val::Bool(a != b),
-                Shl => Val::I32(a.wrapping_shl(b as u32 & 31)),
-                Shr => Val::I32(a.wrapping_shr(b as u32 & 31)),
-                BitAnd => Val::I32(a & b),
-                BitOr => Val::I32(a | b),
-                BitXor => Val::I32(a ^ b),
-                And | Or => return Err("logical op on int".into()),
-            }
-        }
-        PrimKind::Long => {
-            let (a, b) = (l.as_i64()?, r.as_i64()?);
-            match op {
-                Add => Val::I64(a.wrapping_add(b)),
-                Sub => Val::I64(a.wrapping_sub(b)),
-                Mul => Val::I64(a.wrapping_mul(b)),
-                Div => {
-                    if b == 0 {
-                        return Err("division by zero".into());
-                    }
-                    Val::I64(a.wrapping_div(b))
-                }
-                Rem => {
-                    if b == 0 {
-                        return Err("remainder by zero".into());
-                    }
-                    Val::I64(a.wrapping_rem(b))
-                }
-                Lt => Val::Bool(a < b),
-                Le => Val::Bool(a <= b),
-                Gt => Val::Bool(a > b),
-                Ge => Val::Bool(a >= b),
-                Eq => Val::Bool(a == b),
-                Ne => Val::Bool(a != b),
-                Shl => Val::I64(a.wrapping_shl(b as u32 & 63)),
-                Shr => Val::I64(a.wrapping_shr(b as u32 & 63)),
-                BitAnd => Val::I64(a & b),
-                BitOr => Val::I64(a | b),
-                BitXor => Val::I64(a ^ b),
-                And | Or => return Err("logical op on long".into()),
-            }
-        }
-        PrimKind::Float => {
-            let (a, b) = (l.as_f32()?, r.as_f32()?);
-            match op {
-                Add => Val::F32(a + b),
-                Sub => Val::F32(a - b),
-                Mul => Val::F32(a * b),
-                Div => Val::F32(a / b),
-                Rem => Val::F32(a % b),
-                Lt => Val::Bool(a < b),
-                Le => Val::Bool(a <= b),
-                Gt => Val::Bool(a > b),
-                Ge => Val::Bool(a >= b),
-                Eq => Val::Bool(a == b),
-                Ne => Val::Bool(a != b),
-                _ => return Err("bitwise op on float".into()),
-            }
-        }
-        PrimKind::Double => {
-            let (a, b) = (l.as_f64()?, r.as_f64()?);
-            match op {
-                Add => Val::F64(a + b),
-                Sub => Val::F64(a - b),
-                Mul => Val::F64(a * b),
-                Div => Val::F64(a / b),
-                Rem => Val::F64(a % b),
-                Lt => Val::Bool(a < b),
-                Le => Val::Bool(a <= b),
-                Gt => Val::Bool(a > b),
-                Ge => Val::Bool(a >= b),
-                Eq => Val::Bool(a == b),
-                Ne => Val::Bool(a != b),
-                _ => return Err("bitwise op on double".into()),
-            }
-        }
+    let v = match kind {
+        PrimKind::Int => numeric(op, l.as_i32()?, r.as_i32()?, int_arith, Val::I32),
+        PrimKind::Long => numeric(op, l.as_i64()?, r.as_i64()?, long_arith, Val::I64),
+        PrimKind::Float => numeric(op, l.as_f32()?, r.as_f32()?, float_arith, Val::F32),
+        PrimKind::Double => numeric(op, l.as_f64()?, r.as_f64()?, float_arith, Val::F64),
         PrimKind::Boolean => {
             let (a, b) = (l.as_bool()?, r.as_bool()?);
             match op {
-                Eq => Val::Bool(a == b),
-                Ne => Val::Bool(a != b),
-                And => Val::Bool(a && b),
-                Or => Val::Bool(a || b),
-                _ => return Err("arith op on bool".into()),
+                BinOp::Eq => Some(a == b),
+                BinOp::Ne => Some(a != b),
+                BinOp::And => Some(a && b),
+                BinOp::Or => Some(a || b),
+                _ => None,
             }
+            .map(Val::Bool)
         }
+    };
+    v.ok_or_else(|| {
+        ExecError::msg(match (kind, op) {
+            (PrimKind::Int | PrimKind::Long, BinOp::Div) => "division by zero",
+            (PrimKind::Int | PrimKind::Long, BinOp::Rem) => "remainder by zero",
+            (PrimKind::Int, _) => "logical op on int",
+            (PrimKind::Long, _) => "logical op on long",
+            (PrimKind::Float, _) => "bitwise op on float",
+            (PrimKind::Double, _) => "bitwise op on double",
+            (PrimKind::Boolean, _) => "arith op on bool",
+        })
     })
 }
 
+/// An arithmetic op or a comparison on two numeric operands.
+fn numeric<T: PartialOrd + Copy>(
+    op: BinOp,
+    a: T,
+    b: T,
+    arith: fn(BinOp, T, T) -> Option<T>,
+    wrap: fn(T) -> Val,
+) -> Option<Val> {
+    arith(op, a, b)
+        .map(wrap)
+        .or_else(|| compare(op, a, b).map(Val::Bool))
+}
+
+/// Java `int`/`long` arithmetic: wrapping, masked shifts; `None` for
+/// division by zero and for non-arithmetic ops.
+macro_rules! int_arith {
+    ($name:ident, $t:ty, $mask:expr) => {
+        #[inline(always)]
+        fn $name(op: BinOp, a: $t, b: $t) -> Option<$t> {
+            use BinOp::*;
+            Some(match op {
+                Add => a.wrapping_add(b),
+                Sub => a.wrapping_sub(b),
+                Mul => a.wrapping_mul(b),
+                Div if b != 0 => a.wrapping_div(b),
+                Rem if b != 0 => a.wrapping_rem(b),
+                Shl => a.wrapping_shl(b as u32 & $mask),
+                Shr => a.wrapping_shr(b as u32 & $mask),
+                BitAnd => a & b,
+                BitOr => a | b,
+                BitXor => a ^ b,
+                _ => return None,
+            })
+        }
+    };
+}
+int_arith!(int_arith, i32, 31);
+int_arith!(long_arith, i64, 63);
+
+/// IEEE `float`/`double` arithmetic (Java's, Rust's).
+#[inline(always)]
+fn float_arith<T>(op: BinOp, a: T, b: T) -> Option<T>
+where
+    T: Add<Output = T> + Sub<Output = T> + Mul<Output = T> + Div<Output = T> + Rem<Output = T>,
+{
+    Some(match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        BinOp::Rem => a % b,
+        _ => return None,
+    })
+}
+
+/// The six comparisons, on any ordered operand type.
+#[inline(always)]
+fn compare<T: PartialOrd>(op: BinOp, a: T, b: T) -> Option<bool> {
+    Some(match op {
+        BinOp::Lt => a < b,
+        BinOp::Le => a <= b,
+        BinOp::Gt => a > b,
+        BinOp::Ge => a >= b,
+        BinOp::Eq => a == b,
+        BinOp::Ne => a != b,
+        _ => return None,
+    })
+}
+
+/// Java primitive conversions (`as` saturates like the JLS).
 fn numcast(to: PrimKind, v: Val) -> Result<Val, ExecError> {
+    macro_rules! to {
+        ($wrap:path, $t:ty) => {
+            match v {
+                Val::I32(x) => $wrap(x as $t),
+                Val::I64(x) => $wrap(x as $t),
+                Val::F32(x) => $wrap(x as $t),
+                Val::F64(x) => $wrap(x as $t),
+                _ => return Err(cast_error(to, v)),
+            }
+        };
+    }
     Ok(match to {
-        PrimKind::Int => Val::I32(match v {
-            Val::I32(x) => x,
-            Val::I64(x) => x as i32,
-            Val::F32(x) => x as i32,
-            Val::F64(x) => x as i32,
-            other => return Err(ExecError::msg(format!("cannot cast {other:?} to int"))),
-        }),
-        PrimKind::Long => Val::I64(match v {
-            Val::I32(x) => x as i64,
-            Val::I64(x) => x,
-            Val::F32(x) => x as i64,
-            Val::F64(x) => x as i64,
-            other => return Err(ExecError::msg(format!("cannot cast {other:?} to long"))),
-        }),
-        PrimKind::Float => Val::F32(match v {
-            Val::I32(x) => x as f32,
-            Val::I64(x) => x as f32,
-            Val::F32(x) => x,
-            Val::F64(x) => x as f32,
-            other => return Err(ExecError::msg(format!("cannot cast {other:?} to float"))),
-        }),
-        PrimKind::Double => Val::F64(match v {
-            Val::I32(x) => x as f64,
-            Val::I64(x) => x as f64,
-            Val::F32(x) => x as f64,
-            Val::F64(x) => x,
-            other => return Err(ExecError::msg(format!("cannot cast {other:?} to double"))),
-        }),
+        PrimKind::Int => to!(Val::I32, i32),
+        PrimKind::Long => to!(Val::I64, i64),
+        PrimKind::Float => to!(Val::F32, f32),
+        PrimKind::Double => to!(Val::F64, f64),
         PrimKind::Boolean => match v {
             Val::Bool(_) => v,
-            other => return Err(ExecError::msg(format!("cannot cast {other:?} to boolean"))),
+            _ => return Err(cast_error(to, v)),
         },
     })
+}
+
+#[cold]
+fn cast_error(to: PrimKind, v: Val) -> ExecError {
+    let to = match to {
+        PrimKind::Int => "int",
+        PrimKind::Long => "long",
+        PrimKind::Float => "float",
+        PrimKind::Double => "double",
+        PrimKind::Boolean => "boolean",
+    };
+    ExecError::msg(format!("cannot cast {v:?} to {to}"))
 }
 
 #[cfg(test)]
@@ -1296,10 +1248,11 @@ mod tests {
     fn fuel_suspends_and_resumes() {
         let (p, id) = program_sum_to(1000);
         let mut m = Machine::new();
-        let mut t = Thread::new(&p, id, vec![]).unwrap();
+        let code = Code::new(&p);
+        let mut t = Thread::new(&code, id, vec![]).unwrap();
         let mut rounds = 0;
         let v = loop {
-            match run(&mut t, &p, &mut m, 100).unwrap() {
+            match run(&mut t, &code, &mut m, 100).unwrap() {
                 Yield::Done(v) => break v,
                 Yield::OutOfFuel => rounds += 1,
                 other => panic!("unexpected {other:?}"),
@@ -1561,8 +1514,9 @@ mod tests {
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
         let mut m = Machine::new();
-        let mut t = Thread::new(&p, id, vec![]).unwrap();
-        match run(&mut t, &p, &mut m, u64::MAX).unwrap() {
+        let code = Code::new(&p);
+        let mut t = Thread::new(&code, id, vec![]).unwrap();
+        match run(&mut t, &code, &mut m, u64::MAX).unwrap() {
             Yield::Mpi {
                 op: IntrinOp::MpiRank,
                 ..
@@ -1571,7 +1525,7 @@ mod tests {
         }
         // Service the yield: this is rank 3.
         t.resume_with(Val::I32(3));
-        match run(&mut t, &p, &mut m, u64::MAX).unwrap() {
+        match run(&mut t, &code, &mut m, u64::MAX).unwrap() {
             Yield::Done(Some(Val::I32(3))) => {}
             other => panic!("unexpected {other:?}"),
         }
@@ -1597,12 +1551,13 @@ mod tests {
         let id = p.add_func(fb.finish().unwrap());
         p.validate().unwrap();
         let mut m = Machine::new();
-        let mut t = Thread::new(&p, id, vec![]).unwrap();
-        match run(&mut t, &p, &mut m, u64::MAX).unwrap() {
+        let code = Code::new(&p);
+        let mut t = Thread::new(&code, id, vec![]).unwrap();
+        match run(&mut t, &code, &mut m, u64::MAX).unwrap() {
             Yield::Sync => {}
             other => panic!("expected sync, got {other:?}"),
         }
-        match run(&mut t, &p, &mut m, u64::MAX).unwrap() {
+        match run(&mut t, &code, &mut m, u64::MAX).unwrap() {
             Yield::Done(Some(Val::I32(3))) => {}
             other => panic!("unexpected {other:?}"),
         }
@@ -1631,8 +1586,9 @@ mod tests {
         let f = p.add_func(fb.finish().unwrap());
         p.validate().unwrap();
         let mut m = Machine::new();
-        let mut t = Thread::new(&p, f, vec![]).unwrap();
-        match run(&mut t, &p, &mut m, u64::MAX).unwrap() {
+        let code = Code::new(&p);
+        let mut t = Thread::new(&code, f, vec![]).unwrap();
+        match run(&mut t, &code, &mut m, u64::MAX).unwrap() {
             Yield::Launch {
                 kernel,
                 grid,

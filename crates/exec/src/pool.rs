@@ -34,8 +34,7 @@
 //! via [`parallel_map`], which preserves input-index order so FuncId
 //! assignment stays deterministic.
 
-use crate::{run, ExecError, Machine, Thread, Yield};
-use nir::Program;
+use crate::{run, Code, ExecError, Machine, Thread, Yield};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -128,20 +127,20 @@ pub struct SliceDone {
 /// [`ThreadExecutor`] return results in batch order (the seeded
 /// schedule); free-running mode returns completion order.
 pub trait Executor: Send + Sync {
-    fn run_batch(&self, program: &Program, jobs: Vec<SliceJob>) -> Vec<SliceDone>;
+    fn run_batch(&self, code: &Code, jobs: Vec<SliceJob>) -> Vec<SliceDone>;
 
     /// Stable name for reports (`sim`, `threads-replay`, `threads-free`).
     fn name(&self) -> &'static str;
 }
 
-fn exec_one(program: &Program, job: SliceJob) -> SliceDone {
+fn exec_one(code: &Code, job: SliceJob) -> SliceDone {
     let SliceJob {
         rank,
         mut thread,
         mut machine,
         slice,
     } = job;
-    let outcome = run(&mut thread, program, &mut machine, slice);
+    let outcome = run(&mut thread, code, &mut machine, slice);
     SliceDone {
         rank,
         thread,
@@ -156,8 +155,8 @@ fn exec_one(program: &Program, job: SliceJob) -> SliceDone {
 pub struct SimExecutor;
 
 impl Executor for SimExecutor {
-    fn run_batch(&self, program: &Program, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
-        jobs.into_iter().map(|j| exec_one(program, j)).collect()
+    fn run_batch(&self, code: &Code, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
+        jobs.into_iter().map(|j| exec_one(code, j)).collect()
     }
 
     fn name(&self) -> &'static str {
@@ -167,11 +166,13 @@ impl Executor for SimExecutor {
 
 /// Real `std::thread` workers over a work-stealing deque.
 ///
-/// Workers are scoped per batch (not persistent): slices are large
-/// (millions of retired instructions at the default fuel), so spawn
-/// cost amortizes, and scoping keeps every borrow safe — no `unsafe`,
-/// no channels, no external crates. Each worker owns a deque, pops its
-/// own front, and steals from other deques' backs when empty.
+/// Workers are scoped per batch (not persistent), which keeps every
+/// borrow safe — no `unsafe`, no channels, no external crates. The fuel
+/// bounds a slice at millions of instructions, but most slices end far
+/// sooner, at the rank's next MPI yield (often after a few hundred), so
+/// on short-slice workloads the per-batch spawn costs more than the
+/// slices it runs. Each worker owns a deque, pops its own front, and
+/// steals from other deques' backs when empty.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadExecutor {
     pub workers: u32,
@@ -185,12 +186,12 @@ impl ThreadExecutor {
 }
 
 impl Executor for ThreadExecutor {
-    fn run_batch(&self, program: &Program, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
+    fn run_batch(&self, code: &Code, jobs: Vec<SliceJob>) -> Vec<SliceDone> {
         let n = jobs.len();
         let workers = (self.workers.max(1) as usize).min(n);
         if workers <= 1 {
             // One worker (or one job) degenerates to the serial loop.
-            return SimExecutor.run_batch(program, jobs);
+            return SimExecutor.run_batch(code, jobs);
         }
         // Seed the deques round-robin so every worker starts loaded.
         let queues: Vec<Mutex<VecDeque<(usize, SliceJob)>>> =
@@ -220,7 +221,7 @@ impl Executor for ThreadExecutor {
                     }
                     match job {
                         Some((i, j)) => {
-                            let r = exec_one(program, j);
+                            let r = exec_one(code, j);
                             done.lock().unwrap().push((i, r));
                         }
                         // All deques drained: no new work arrives

@@ -220,35 +220,115 @@ fn cycle_count_is_a_pure_function_of_the_trace() {
 
 #[test]
 fn fuel_boundary_never_changes_results() {
-    // Running with tiny fuel slices must produce the same result and the
-    // same final counters as one big run.
+    // Running the same program in tiny fuel slices must produce the same
+    // result and the same final counters as one big run.
     let p = int_binop_program(BinOp::Add);
+    let code = exec::Code::new(&p);
+    let args = vec![exec::Val::I32(7), exec::Val::I32(35)];
     let big = {
         let mut m = exec::Machine::new();
-        let v = exec::run_to_completion(
-            &p,
-            p.entry.unwrap(),
-            vec![exec::Val::I32(7), exec::Val::I32(35)],
-            &mut m,
-        )
-        .unwrap();
-        (v, m.counters.instrs)
+        let v = exec::run_to_completion(&p, p.entry.unwrap(), args.clone(), &mut m).unwrap();
+        (v, m.counters.instrs, m.counters.cycles)
     };
-    let small = {
+    for fuel in [1, 7, 64] {
         let mut m = exec::Machine::new();
-        let mut t = exec::Thread::new(
-            &p,
-            p.entry.unwrap(),
-            vec![exec::Val::I32(7), exec::Val::I32(35)],
-        )
-        .unwrap();
-        loop {
-            match exec::run(&mut t, &p, &mut m, 1).unwrap() {
-                exec::Yield::Done(v) => break (v, m.counters.instrs),
+        let mut t = exec::Thread::new(&code, p.entry.unwrap(), args.clone()).unwrap();
+        let small = loop {
+            match exec::run(&mut t, &code, &mut m, fuel).unwrap() {
+                exec::Yield::Done(v) => break (v, m.counters.instrs, m.counters.cycles),
                 exec::Yield::OutOfFuel => {}
                 other => panic!("unexpected {other:?}"),
             }
+        };
+        assert_eq!(big, small, "fuel {fuel}");
+    }
+}
+
+/// A platform that runs the world in scheduler slices of `slice` fuel.
+struct Sliced {
+    ranks: u32,
+    gpu: bool,
+    slice: u64,
+}
+
+impl wootinj::Platform for Sliced {
+    fn id(&self) -> &'static str {
+        "sliced"
+    }
+
+    fn caps(&self) -> wootinj::Caps {
+        wootinj::Caps {
+            global_kernels: self.gpu,
+            shared_memory: true,
+            collectives: true,
+            host_ffi: true,
+            parallelism: self.ranks,
         }
-    };
-    assert_eq!(big, small);
+    }
+
+    fn run(
+        &self,
+        req: wootinj::RunRequest<'_>,
+        make_args: platform::ArgBuilder<'_>,
+    ) -> Result<wootinj::RunOutcome, wootinj::SimError> {
+        let mut world = mpi_sim::World::new(req.program, self.ranks).with_code(req.code);
+        if self.gpu {
+            world = world.with_gpu(wootinj::GpuConfig::default());
+        }
+        world.slice = self.slice;
+        world.run(req.entry, make_args)
+    }
+}
+
+#[test]
+fn fuel_boundary_never_changes_corpus_results() {
+    // Every case of the engine corpus, on its own world shape, in slices
+    // of 1, 7 and 64 instructions against one unbounded slice: results,
+    // per-rank counters and clocks must not move.
+    use bench::corpus::{self, Tables};
+    let tables = Tables::build();
+    for case in corpus::cases() {
+        let mut env = wootinj::WootinJ::new(case.table(&tables)).unwrap();
+        let app = case.compose(&mut env).unwrap();
+        let (method, args) = case.entry();
+        let outcome = |slice: u64| {
+            let platform = Sliced {
+                ranks: case.ranks,
+                gpu: case.gpu,
+                slice,
+            };
+            let code = env.jit_on(
+                std::sync::Arc::new(platform),
+                &app,
+                method,
+                &args,
+                case.series.options(),
+            )?;
+            let r = code.invoke(&env)?;
+            let ranks: Vec<_> = r
+                .worlds
+                .ranks
+                .iter()
+                .map(|x| {
+                    (
+                        x.machine.counters.instrs,
+                        x.machine.counters.cycles,
+                        x.vclock,
+                    )
+                })
+                .collect();
+            Ok::<_, wootinj::WjError>(format!("{:?} {} {ranks:?}", r.results, r.vtime_cycles))
+        };
+        let want = match outcome(u64::MAX) {
+            Ok(want) => want,
+            Err(e) => {
+                eprintln!("{}: {e}", case.name);
+                continue;
+            }
+        };
+        for slice in [1, 7, 64] {
+            let got = outcome(slice).unwrap();
+            assert_eq!(got, want, "{} at slice {slice}", case.name);
+        }
+    }
 }

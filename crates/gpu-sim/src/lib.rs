@@ -23,9 +23,10 @@
 #![forbid(unsafe_code)]
 
 use exec::{
-    run, ArrStore, ExecError, FaultConfig, FaultPlan, Machine, ResilienceStats, Thread, Val, Yield,
+    run, ArrStore, Code, ExecError, FaultConfig, FaultPlan, Machine, ResilienceStats, Thread, Val,
+    Yield,
 };
-use nir::{FuncId, IntrinOp, Program};
+use nir::{FuncId, IntrinOp};
 use std::collections::HashMap;
 
 /// Device model parameters (defaults shaped after the paper's M2050).
@@ -244,7 +245,7 @@ impl Gpu {
     /// semantics and return the launch statistics.
     pub fn launch(
         &mut self,
-        program: &Program,
+        code: &Code,
         kernel: FuncId,
         grid: [u32; 3],
         block: [u32; 3],
@@ -275,15 +276,8 @@ impl Gpu {
                     if armed {
                         self.machine.fault = Some(self.sm_plans[sm].clone());
                     }
-                    let res = self.run_block(
-                        program,
-                        kernel,
-                        grid,
-                        block,
-                        [bx, by, bz],
-                        &args,
-                        sm as u32,
-                    );
+                    let res =
+                        self.run_block(code, kernel, grid, block, [bx, by, bz], &args, sm as u32);
                     if armed {
                         if let Some(plan) = self.machine.fault.take() {
                             self.sm_plans[sm] = plan;
@@ -313,7 +307,7 @@ impl Gpu {
     #[allow(clippy::too_many_arguments)]
     fn run_block(
         &mut self,
-        program: &Program,
+        code: &Code,
         kernel: FuncId,
         grid: [u32; 3],
         block: [u32; 3],
@@ -337,7 +331,7 @@ impl Gpu {
             for ty in 0..block[1] {
                 for tx in 0..block[0] {
                     threads.push(Ctx {
-                        thread: Thread::new(program, kernel, args.to_vec())?,
+                        thread: Thread::new(code, kernel, args.to_vec())?,
                         idx: [tx, ty, tz],
                         st: St::Runnable,
                     });
@@ -356,7 +350,7 @@ impl Gpu {
                 any_progress = true;
                 // Run this thread until it blocks at a barrier or finishes.
                 loop {
-                    match run(&mut ctx.thread, program, &mut self.machine, u64::MAX)? {
+                    match run(&mut ctx.thread, code, &mut self.machine, u64::MAX)? {
                         Yield::Done(_) => {
                             ctx.st = St::Done;
                             break;
@@ -449,7 +443,7 @@ mod tests {
     use super::*;
     use jlang::ast::BinOp;
     use jlang::types::PrimKind;
-    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, Ty};
+    use nir::{ElemTy, FuncBuilder, FuncKind, Instr, Program, Ty};
 
     /// Build a kernel: a[global_id] = a[global_id] * 2
     fn scale_kernel(p: &mut Program) -> FuncId {
@@ -557,7 +551,7 @@ mod tests {
             .copy_in(&ArrStore::F32((0..10).map(|i| i as f32).collect()))
             .unwrap();
         let stats = gpu
-            .launch(&p, k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
+            .launch(&Code::new(&p), k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         assert_eq!(stats.blocks, 3);
         assert_eq!(stats.threads, 12);
@@ -643,7 +637,7 @@ mod tests {
         let dev = gpu
             .copy_in(&ArrStore::F32(vec![1.0, 2.0, 3.0, 4.0, 5.0]))
             .unwrap();
-        gpu.launch(&p, k, [1, 1, 1], [5, 1, 1], vec![Val::Arr(dev)])
+        gpu.launch(&Code::new(&p), k, [1, 1, 1], [5, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 5]);
         gpu.copy_out(dev, &mut out).unwrap();
@@ -661,7 +655,7 @@ mod tests {
         let k = reverse_kernel(&mut p);
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu.copy_in(&ArrStore::F32(vec![1.0, 2.0, 3.0])).unwrap();
-        gpu.launch(&p, k, [2, 1, 1], [3, 1, 1], vec![Val::Arr(dev)])
+        gpu.launch(&Code::new(&p), k, [2, 1, 1], [3, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 3]);
         gpu.copy_out(dev, &mut out).unwrap();
@@ -675,11 +669,23 @@ mod tests {
         let mut gpu = Gpu::new(GpuConfig::default());
         let small = gpu.copy_in(&ArrStore::F32(vec![0.0; 64])).unwrap();
         let s1 = gpu
-            .launch(&p, k, [2, 1, 1], [32, 1, 1], vec![Val::Arr(small)])
+            .launch(
+                &Code::new(&p),
+                k,
+                [2, 1, 1],
+                [32, 1, 1],
+                vec![Val::Arr(small)],
+            )
             .unwrap();
         let big = gpu.copy_in(&ArrStore::F32(vec![0.0; 4096])).unwrap();
         let s2 = gpu
-            .launch(&p, k, [128, 1, 1], [32, 1, 1], vec![Val::Arr(big)])
+            .launch(
+                &Code::new(&p),
+                k,
+                [128, 1, 1],
+                [32, 1, 1],
+                vec![Val::Arr(big)],
+            )
             .unwrap();
         assert!(s2.executed_cycles > s1.executed_cycles);
         assert!(s2.kernel_time > s1.kernel_time);
@@ -690,7 +696,13 @@ mod tests {
         });
         let big2 = fat.copy_in(&ArrStore::F32(vec![0.0; 4096])).unwrap();
         let s3 = fat
-            .launch(&p, k, [128, 1, 1], [32, 1, 1], vec![Val::Arr(big2)])
+            .launch(
+                &Code::new(&p),
+                k,
+                [128, 1, 1],
+                [32, 1, 1],
+                vec![Val::Arr(big2)],
+            )
             .unwrap();
         assert!(s3.kernel_time < s2.kernel_time);
     }
@@ -702,7 +714,13 @@ mod tests {
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu.copy_in(&ArrStore::F32(vec![0.0; 4])).unwrap();
         let e = gpu
-            .launch(&p, k, [1, 1, 1], [2048, 1, 1], vec![Val::Arr(dev)])
+            .launch(
+                &Code::new(&p),
+                k,
+                [1, 1, 1],
+                [2048, 1, 1],
+                vec![Val::Arr(dev)],
+            )
             .unwrap_err();
         assert!(e.message.contains("1024"), "{e}");
     }
@@ -720,7 +738,7 @@ mod tests {
             });
             let dev = gpu.copy_in(&ArrStore::F32(vec![1.0; 16])).unwrap();
             let e = gpu
-                .launch(&p, k, [2, 1, 1], [8, 1, 1], vec![Val::Arr(dev)])
+                .launch(&Code::new(&p), k, [2, 1, 1], [8, 1, 1], vec![Val::Arr(dev)])
                 .unwrap_err();
             assert!(e.is_injected(), "{e}");
             assert!(gpu.fault_stats().crashes >= 1);
@@ -743,7 +761,7 @@ mod tests {
             .copy_in(&ArrStore::F32((0..10).map(|i| i as f32).collect()))
             .unwrap();
         armed
-            .launch(&p, k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
+            .launch(&Code::new(&p), k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 10]);
         armed.copy_out(dev, &mut out).unwrap();
@@ -762,7 +780,13 @@ mod tests {
             let mut gpu = Gpu::new(GpuConfig::default());
             let dev = gpu.copy_in(&ArrStore::F32(vec![1.0; 100])).unwrap();
             let stats = gpu
-                .launch(&p, k, [4, 1, 1], [32, 1, 1], vec![Val::Arr(dev)])
+                .launch(
+                    &Code::new(&p),
+                    k,
+                    [4, 1, 1],
+                    [32, 1, 1],
+                    vec![Val::Arr(dev)],
+                )
                 .unwrap();
             (stats.executed_cycles, stats.kernel_time, gpu.vtime)
         };
@@ -921,14 +945,14 @@ mod tests_3d {
             src: vf,
         });
         kb.emit(Instr::Ret(None));
-        let mut p = Program::default();
+        let mut p = nir::Program::default();
         let k = p.add_func(kb.finish().unwrap());
         p.validate().unwrap();
 
         let mut gpu = Gpu::new(GpuConfig::default());
         // grid 2x3x2, block 1x1x2 -> 24 cells
         let dev = gpu.copy_in(&ArrStore::F32(vec![-1.0; 24])).unwrap();
-        gpu.launch(&p, k, [2, 3, 2], [1, 1, 2], vec![Val::Arr(dev)])
+        gpu.launch(&Code::new(&p), k, [2, 3, 2], [1, 1, 2], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 24]);
         gpu.copy_out(dev, &mut out).unwrap();

@@ -40,7 +40,7 @@ pub use transport::{
 use exec::ckpt::chain;
 pub use exec::ckpt::CkptError;
 pub use exec::pool::{ExecMode, ExecutorCfg};
-use exec::{FaultConfig, HostRegistry, Machine, ResilienceStats, Val};
+use exec::{Code, FaultConfig, HostRegistry, Machine, ResilienceStats, Val};
 use gpu_sim::GpuConfig;
 use nir::{FuncId, Program};
 
@@ -455,6 +455,9 @@ pub(crate) fn device_fault_config(cfg: FaultConfig, rank: u32) -> FaultConfig {
 /// A simulated MPI world over a translated program.
 pub struct World<'p> {
     pub program: &'p Program,
+    /// The program's decoded form, when the caller holds one (see
+    /// [`World::with_code`]); otherwise each run decodes it once.
+    pub code: Option<&'p Code>,
     pub size: u32,
     pub cost: CostModel,
     /// One GPU per rank when set (the paper's GPU experiments).
@@ -494,6 +497,7 @@ impl<'p> World<'p> {
     pub fn new(program: &'p Program, size: u32) -> Self {
         World {
             program,
+            code: None,
             size,
             cost: CostModel::default(),
             gpu: None,
@@ -512,6 +516,13 @@ impl<'p> World<'p> {
     /// real OS-thread workers ([`ExecutorCfg::Threads`]).
     pub fn with_executor(mut self, executor: ExecutorCfg) -> Self {
         self.executor = executor;
+        self
+    }
+
+    /// Run the caller's decoded form of the program, so repeated runs of
+    /// one artifact never re-decode it.
+    pub fn with_code(mut self, code: &'p Code) -> Self {
+        self.code = Some(code);
         self
     }
 
@@ -580,18 +591,9 @@ impl<'p> World<'p> {
         entry: FuncId,
         mut make_args: impl FnMut(u32, &mut Machine) -> Result<Vec<Val>, String>,
     ) -> Result<WorldRun, SimError> {
-        let mut pool = LocalPool::new(
-            self.program,
-            self.size,
-            entry,
-            &mut make_args,
-            self.gpu,
-            self.fault,
-            self.host,
-        )
-        .with_executor(self.executor);
-        let mut transport = InMemTransport::new();
-        runtime::run_world(&self.run_cfg(), &mut pool, &mut transport)
+        self.with_pool(entry, &mut make_args, |pool| {
+            runtime::run_world(&self.run_cfg(), pool, &mut InMemTransport::new())
+        })
     }
 
     /// Like [`World::run`], but checkpoint every
@@ -608,24 +610,46 @@ impl<'p> World<'p> {
         policy: &CheckpointPolicy,
         max_restarts: u32,
     ) -> Result<WorldRun, SimError> {
+        self.with_pool(entry, &mut make_args, |pool| {
+            let mut transport = InMemTransport::new();
+            runtime::run_world_with_restart(
+                &self.run_cfg(),
+                pool,
+                &mut transport,
+                policy,
+                max_restarts,
+            )
+        })
+    }
+
+    /// Hand `go` the in-process rank pool for one run of this world,
+    /// decoding the program first unless the caller supplied its code.
+    fn with_pool<R>(
+        &self,
+        entry: FuncId,
+        make_args: ArgBuilder<'_>,
+        go: impl FnOnce(&mut LocalPool<'_, '_>) -> R,
+    ) -> R {
+        let owned;
+        let code = match self.code {
+            Some(code) => code,
+            None => {
+                owned = Code::new(self.program);
+                &owned
+            }
+        };
         let mut pool = LocalPool::new(
             self.program,
+            code,
             self.size,
             entry,
-            &mut make_args,
+            make_args,
             self.gpu,
             self.fault,
-            self.host,
         )
+        .with_host(self.host)
         .with_executor(self.executor);
-        let mut transport = InMemTransport::new();
-        runtime::run_world_with_restart(
-            &self.run_cfg(),
-            &mut pool,
-            &mut transport,
-            policy,
-            max_restarts,
-        )
+        go(&mut pool)
     }
 }
 #[cfg(test)]
@@ -639,18 +663,20 @@ mod tests {
     /// A fresh local pool + empty scheduler state for checkpoint tests.
     fn test_pool<'p, 'a>(
         world: &World<'p>,
+        code: &'p Code,
         entry: FuncId,
         make_args: ArgBuilder<'a>,
     ) -> (LocalPool<'p, 'a>, Vec<RankCtl>, InMemTransport) {
         let mut pool = LocalPool::new(
             world.program,
+            code,
             world.size,
             entry,
             make_args,
             world.gpu,
             world.fault,
-            world.host,
-        );
+        )
+        .with_host(world.host);
         pool.reinit().unwrap();
         let ctls = vec![RankCtl::default(); world.size as usize];
         (pool, ctls, InMemTransport::new())
@@ -1052,8 +1078,9 @@ mod tests {
         let mut cfg = FaultConfig::seeded(42);
         cfg.crash = 0.001;
         let world = World::new(&p, 3).with_faults(cfg);
+        let code = Code::new(&p);
         let mut args = |_: u32, _: &mut Machine| Ok(vec![]);
-        let (mut pool, ctls, mut transport) = test_pool(&world, entry, &mut args);
+        let (mut pool, ctls, mut transport) = test_pool(&world, &code, entry, &mut args);
         let rc = world.run_cfg();
         let first = runtime::capture_world(&rc, &mut pool, &ctls, &transport).unwrap();
         let ctls2 = runtime::restore_world(&rc, &mut pool, &mut transport, &first.bytes).unwrap();
@@ -1066,13 +1093,14 @@ mod tests {
     fn restore_rejects_wrong_world_size_and_garbage() {
         let (p, entry) = stepped_allreduce(2);
         let world = World::new(&p, 3);
+        let code = Code::new(&p);
         let mut args = |_: u32, _: &mut Machine| Ok(vec![]);
-        let (mut pool, ctls, mut transport) = test_pool(&world, entry, &mut args);
+        let (mut pool, ctls, mut transport) = test_pool(&world, &code, entry, &mut args);
         let rc = world.run_cfg();
         let wc = runtime::capture_world(&rc, &mut pool, &ctls, &transport).unwrap();
         let smaller = World::new(&p, 2);
         let mut args2 = |_: u32, _: &mut Machine| Ok(vec![]);
-        let (mut pool2, _, mut transport2) = test_pool(&smaller, entry, &mut args2);
+        let (mut pool2, _, mut transport2) = test_pool(&smaller, &code, entry, &mut args2);
         assert!(
             runtime::restore_world(&smaller.run_cfg(), &mut pool2, &mut transport2, &wc.bytes)
                 .is_err()
@@ -1097,8 +1125,9 @@ mod tests {
         // ScopeMismatch, not a decode attempt.
         let (p, entry) = stepped_allreduce(2);
         let dist_like = World::new(&p, 2).with_ckpt_salt(0xD157_0000_0000_0001);
+        let code = Code::new(&p);
         let mut args = |_: u32, _: &mut Machine| Ok(vec![]);
-        let (mut pool, ctls, mut transport) = test_pool(&dist_like, entry, &mut args);
+        let (mut pool, ctls, mut transport) = test_pool(&dist_like, &code, entry, &mut args);
         let wc =
             runtime::capture_world(&dist_like.run_cfg(), &mut pool, &ctls, &transport).unwrap();
         let mpi_like = World::new(&p, 2);

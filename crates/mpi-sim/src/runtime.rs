@@ -25,8 +25,8 @@ use std::path::PathBuf;
 use exec::ckpt::{self, chain, CkptError};
 use exec::pool::{SliceDone, SliceJob};
 use exec::{
-    run, ArrStore, ExecError, Executor, ExecutorCfg, FaultConfig, FaultPlan, HostRegistry, Machine,
-    MsgFault, ResilienceStats, Thread, TransportFault, Val, Yield,
+    run, ArrStore, Code, ExecError, Executor, ExecutorCfg, FaultConfig, FaultPlan, HostRegistry,
+    Machine, MsgFault, ResilienceStats, Thread, TransportFault, Val, Yield,
 };
 use gpu_sim::{Gpu, GpuConfig, GpuErrorKind};
 use nir::codec::{Reader, Writer};
@@ -406,6 +406,7 @@ pub fn write_floats(
 /// their result.
 pub fn service_device_yield(
     program: &Program,
+    code: &Code,
     thread: &mut Thread,
     machine: &mut Machine,
     gpu: &mut Option<Gpu>,
@@ -422,7 +423,7 @@ pub fn service_device_yield(
             let gpu = gpu
                 .as_mut()
                 .ok_or_else(|| err_on(r, "kernel launch but no GPU configured for this run"))?;
-            match gpu.launch(program, kernel, grid, block, args) {
+            match gpu.launch(code, kernel, grid, block, args) {
                 Ok(stats) => Ok(DeviceOutcome::Advance(stats.kernel_time)),
                 // An injected device fault kills the rank (typed),
                 // exactly like a host-side crash — the restart path can
@@ -1630,6 +1631,8 @@ struct LocalRank {
 /// [`World::run`]: crate::World::run
 pub struct LocalPool<'p, 'a> {
     program: &'p Program,
+    /// The program's decoded form, shared by every rank and slice.
+    code: &'p Code,
     size: u32,
     entry: FuncId,
     make_args: ArgBuilder<'a>,
@@ -1648,25 +1651,32 @@ pub struct LocalPool<'p, 'a> {
 impl<'p, 'a> LocalPool<'p, 'a> {
     pub fn new(
         program: &'p Program,
+        code: &'p Code,
         size: u32,
         entry: FuncId,
         make_args: ArgBuilder<'a>,
         gpu: Option<GpuConfig>,
         fault: Option<FaultConfig>,
-        host: Option<&'p HostRegistry>,
     ) -> Self {
         LocalPool {
             program,
+            code,
             size,
             entry,
             make_args,
             gpu,
             fault,
-            host,
+            host: None,
             ranks: Vec::new(),
             pending: Vec::new(),
             executor: None,
         }
+    }
+
+    /// Resolve `CallHost` yields against `host` (none by default).
+    pub fn with_host(mut self, host: Option<&'p HostRegistry>) -> Self {
+        self.host = host;
+        self
     }
 
     /// Attach an executor. [`ExecutorCfg::Sim`] keeps the serial loop
@@ -1723,8 +1733,8 @@ impl RankPool for LocalPool<'_, '_> {
             }
             let args = (self.make_args)(r, &mut machine)
                 .map_err(|m| err_on(r, format!("building entry args: {m}")))?;
-            let thread = Thread::new(self.program, self.entry, args)
-                .map_err(|e| err_on(r, e.to_string()))?;
+            let thread =
+                Thread::new(self.code, self.entry, args).map_err(|e| err_on(r, e.to_string()))?;
             let mut gpu = self.gpu.map(Gpu::new);
             if let (Some(g), Some(cfg)) = (gpu.as_mut(), self.fault) {
                 g.set_fault(device_fault_config(cfg, r));
@@ -1740,10 +1750,10 @@ impl RankPool for LocalPool<'_, '_> {
     }
 
     fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
-        let program = self.program;
+        let code = self.code;
         let (y, delta) = {
             let rank = self.rank_mut(r)?;
-            let y = run(&mut rank.thread, program, &mut rank.machine, slice)
+            let y = run(&mut rank.thread, code, &mut rank.machine, slice)
                 .map_err(|e| err_on(r, e.to_string()))?;
             let delta = rank.machine.counters.cycles - rank.last_cycles;
             rank.last_cycles = rank.machine.counters.cycles;
@@ -1802,7 +1812,7 @@ impl RankPool for LocalPool<'_, '_> {
                 slice,
             });
         }
-        let results = executor.run_batch(self.program, jobs);
+        let results = executor.run_batch(self.code, jobs);
         // Reinstall every rank before surfacing any error so no state
         // is stranded, then classify yields in the executor's returned
         // (service) order.
@@ -1860,10 +1870,11 @@ impl RankPool for LocalPool<'_, '_> {
         let y = self.pending[r as usize]
             .take()
             .ok_or_else(|| err_on(r, "no pending device yield"))?;
-        let program = self.program;
+        let (program, code) = (self.program, self.code);
         let rank = self.rank_mut(r)?;
         service_device_yield(
             program,
+            code,
             &mut rank.thread,
             &mut rank.machine,
             &mut rank.gpu,

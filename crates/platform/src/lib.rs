@@ -56,7 +56,7 @@
 
 #![forbid(unsafe_code)]
 
-use exec::{ExecMode, ExecutorCfg, FaultConfig, HostRegistry, Machine, Val};
+use exec::{Code, ExecMode, ExecutorCfg, FaultConfig, HostRegistry, Machine, Val};
 use gpu_sim::GpuConfig;
 use mpi_sim::{CheckpointPolicy, CostModel, Schedule, SimError, World, WorldRun};
 use nir::{FuncId, Program};
@@ -121,6 +121,8 @@ impl std::error::Error for PlatformError {}
 /// uniformly instead of reimplementing them.
 pub struct RunRequest<'p> {
     pub program: &'p Program,
+    /// The program's decoded form, built once per artifact by its holder.
+    pub code: &'p Code,
     pub entry: FuncId,
     /// Host `@Native` registry; `None` runs with FFI unavailable.
     pub host: Option<&'p HostRegistry>,
@@ -220,7 +222,10 @@ fn apply_request<'p>(mut world: World<'p>, req: &RunRequest<'p>, salt: u64) -> W
     if let Some(t) = req.timeout_rounds {
         world = world.with_timeout(t);
     }
-    world.with_executor(req.executor).with_ckpt_salt(salt)
+    world
+        .with_code(req.code)
+        .with_executor(req.executor)
+        .with_ckpt_salt(salt)
 }
 
 /// Drive the world, routing through checkpoint/restart when requested.
@@ -531,6 +536,7 @@ impl Platform for DistPlatform {
             });
         }
         let mut world = dist::DistWorld::new(req.program, self.ranks)
+            .with_code(req.code)
             .with_cost(self.cost)
             .with_launch(self.launch.clone())
             .with_ckpt_salt(self.fingerprint_salt());

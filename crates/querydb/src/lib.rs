@@ -753,6 +753,7 @@ impl Database {
             uses_mpi,
             uses_gpu,
             warnings: Vec::new(),
+            decoded: Default::default(),
         })
     }
 

@@ -363,6 +363,7 @@ impl Translated {
             uses_mpi,
             uses_gpu,
             warnings,
+            decoded: Default::default(),
         })
     }
 }

@@ -28,6 +28,7 @@ use jlang::table::ClassTable;
 use jlang::types::ClassId;
 use jvm::{ArrayData, Jvm, Value};
 use nir::{FuncId, Instr, IntrinOp, OptConfig, Program};
+use std::sync::OnceLock;
 
 pub use artifact::CacheKey;
 pub use incr::{BodyRef, CalleeEdge, FnMemo, FnRec, MemberRef, ReplayState, TraceState};
@@ -164,9 +165,19 @@ pub struct Translated {
     /// Virtual-mode impls skipped because they cannot compile on this
     /// path (kept for diagnostics).
     pub warnings: Vec<String>,
+    /// The engine's decoded form of `program`, built on first use and
+    /// shared by every holder of this artifact (never serialized).
+    pub decoded: OnceLock<exec::Code>,
 }
 
 impl Translated {
+    /// The decoded form every run of this artifact executes. Built once:
+    /// the cache hands out one `Arc<Translated>` per key, so repeated
+    /// jits and invokes reuse it. `program` must not change after this.
+    pub fn code(&self) -> &exec::Code {
+        self.decoded.get_or_init(|| exec::Code::new(&self.program))
+    }
+
     /// Render the Listing-5-style C/CUDA source for this program.
     pub fn c_source(&self) -> String {
         nir::emit_c(&self.program)
@@ -325,6 +336,7 @@ pub fn translate(
         uses_mpi,
         uses_gpu,
         warnings,
+        decoded: OnceLock::new(),
     })
 }
 

@@ -969,6 +969,7 @@ impl JitCode {
         let platform = self.platform();
         let req = RunRequest {
             program: &self.translated.program,
+            code: self.translated.code(),
             entry: self.translated.entry,
             host: Some(&env.host),
             fault: self.fault,

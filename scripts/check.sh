@@ -49,6 +49,14 @@ echo "== incremental re-JIT smoke run (asserts >=10x body-edit speedup, =="
 echo "==   strictly fewer queries than cold, bit-identical artifacts)   =="
 cargo run --release --offline -q -p bench --bin repro -- incremental --quick
 
+echo "== benchmark helper tests (perfbench, its own workspace) =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
+echo "== benchmark kernel smoke run (exits nonzero on a wrong output or a =="
+echo "==   divergence from the serial loop; checks the engine end to end)  =="
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload kernel --seed 1 --seconds 3 --trace 0
+
 echo "== disk-cache round-trip smoke =="
 # jit once (cold, persists the artifact), then re-jit from a fresh
 # process and assert zero translator work (--expect-warm exits nonzero
