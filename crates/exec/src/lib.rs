@@ -662,7 +662,7 @@ fn dispatch(
         // Push the running frame and enter `f` with `args`.
         macro_rules! call {
             ($f:expr, $args:expr, $dst:expr) => {{
-                let callee = tri!(enter(code, thread, $f, $args.iter().map(|a| r!(a))));
+                let callee = tri!(enter(code, thread, $f, $args, &regs));
                 cur.regs = std::mem::replace(&mut regs, callee);
                 cur.pc = pc as u32 + 1;
                 let caller = std::mem::replace(cur, Frame::new($f, Vec::new(), $dst));
@@ -682,8 +682,7 @@ fn dispatch(
         cycles += w;
         match op {
             Op::Const(d, v) => r!(d) = *v,
-            // Copied by tag, so the read matches the narrow stores that
-            // wrote the source (a whole-value copy would stall on them).
+            // Copied by tag, like `copy`.
             Op::Mov(d, s) => match r!(s) {
                 Val::I32(x) => r!(d) = Val::I32(x),
                 Val::F32(x) => r!(d) = Val::F32(x),
@@ -706,18 +705,18 @@ fn dispatch(
                 continue;
             }
             Op::Ret(v) => {
-                let v = v.map(|v| r!(&v));
                 let Some(caller) = thread.frames.pop() else {
                     thread.done = true;
-                    break Ok(Yield::Done(v));
+                    break Ok(Yield::Done(v.map(|v| r!(&v))));
                 };
                 let done = std::mem::replace(cur, caller);
-                thread
-                    .spare
-                    .push(std::mem::replace(&mut regs, std::mem::take(&mut cur.regs)));
-                if let Some(dst) = done.ret_to {
-                    regs[dst as usize] = v.unwrap_or(Val::Unit);
+                let callee = std::mem::replace(&mut regs, std::mem::take(&mut cur.regs));
+                match (done.ret_to, v) {
+                    (Some(dst), Some(v)) => copy(&mut regs[dst as usize], &callee[*v as usize]),
+                    (Some(dst), None) => regs[dst as usize] = Val::Unit,
+                    (None, _) => {}
                 }
+                thread.spare.push(callee);
                 ops = &code.func(cur.func).ops;
                 pc = cur.pc as usize;
                 continue;
@@ -974,11 +973,13 @@ fn resolve(code: &Code, objs: &ObjHeap, recv: u32, sel: u32) -> Result<FuncId, E
 /// A callee frame's registers, arguments in place. Checks the depth
 /// limit and the callee's arity (a mismatch is a typed error naming the
 /// callee; the loop attaches the caller's function and pc).
+#[inline(always)]
 fn enter(
     code: &Code,
     thread: &mut Thread,
     f: FuncId,
-    args: impl ExactSizeIterator<Item = Val>,
+    args: &[Reg],
+    caller: &[Val],
 ) -> Result<Vec<Val>, ExecError> {
     // The running frame is out of `thread.frames` while the loop runs.
     if thread.frames.len() + 1 >= MAX_DEPTH {
@@ -986,18 +987,33 @@ fn enter(
     }
     let callee = code.func(f);
     if args.len() != callee.params {
-        return Err(ExecError::msg(format!(
-            "call to `{}` passes {} args, it takes {}",
-            callee.name,
-            args.len(),
-            callee.params
-        )));
+        return Err(arity(&callee.name, args.len(), callee.params));
     }
     let mut regs = thread.spare.pop().unwrap_or_default();
     regs.clear();
-    regs.extend(args);
     regs.resize(callee.nregs, Val::Unit);
+    for (slot, a) in regs.iter_mut().zip(args) {
+        copy(slot, &caller[*a as usize]);
+    }
     Ok(regs)
+}
+
+#[cold]
+fn arity(callee: &str, passed: usize, takes: usize) -> ExecError {
+    ExecError::msg(format!(
+        "call to `{callee}` passes {passed} args, it takes {takes}"
+    ))
+}
+
+/// Copy a register by tag, so the read matches the narrow stores that
+/// wrote it (a whole-value copy would stall waiting on them).
+#[inline(always)]
+fn copy(dst: &mut Val, src: &Val) {
+    match src {
+        Val::I32(x) => *dst = Val::I32(*x),
+        Val::F32(x) => *dst = Val::F32(*x),
+        v => *dst = *v,
+    }
 }
 
 /// Array handle and non-negative index, checked in the historical order
