@@ -662,7 +662,7 @@ mod tests {
         let mut p = Program::default();
         let entry = p.add_func(fb.finish().unwrap());
 
-        let t = Thread::new(&crate::Code::new(&p), entry, vec![]).unwrap();
+        let t = Thread::new(&crate::Code::new(&p), entry, &[]).unwrap();
         let mut w = begin(TAG_WORLD);
         write_thread(&mut w, &t);
         let bytes = finish(w);

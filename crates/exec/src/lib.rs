@@ -19,6 +19,9 @@
 //! Every retired instruction is charged a weight; the accumulated
 //! `Counters::cycles` is the deterministic virtual-time metric behind the
 //! scalability figures.
+//!
+//! `run()` executes a [`Code`]: the program decoded once into a dense op
+//! stream with the weights folded in (DESIGN.md §17).
 
 #![forbid(unsafe_code)]
 
@@ -512,14 +515,14 @@ pub struct Thread {
 
 impl Thread {
     /// Create a thread poised to execute `func(args)`.
-    pub fn new(code: &Code, func: FuncId, args: Vec<Val>) -> Result<Thread, ExecError> {
+    pub fn new(code: &Code, func: FuncId, args: &[Val]) -> Result<Thread, ExecError> {
         let f = code.func(func);
         if f.params != args.len() {
             let message = format!("`{}` expects {} args, got {}", f.name, f.params, args.len());
             return Err(ExecError::msg(message).at(&f.name, 0));
         }
         let mut regs = vec![Val::Unit; f.nregs];
-        regs[..args.len()].copy_from_slice(&args);
+        regs[..args.len()].copy_from_slice(args);
         Ok(Thread {
             frames: vec![Frame::new(func, regs, None)],
             pending_dst: None,
@@ -1016,8 +1019,8 @@ fn copy(dst: &mut Val, src: &Val) {
     }
 }
 
-/// Array handle and non-negative index, checked in the historical order
-/// (so errors keep their exact text).
+/// Array handle and non-negative index, checked in a fixed order
+/// (handle, index type, sign) so each failure keeps its error text.
 #[inline(always)]
 fn index(arr: Val, idx: Val) -> Result<(u32, usize), ExecError> {
     let h = arr.as_arr()?;
@@ -1038,7 +1041,7 @@ pub fn run_to_completion(
     machine: &mut Machine,
 ) -> Result<Option<Val>, ExecError> {
     let code = Code::new(program);
-    let mut t = Thread::new(&code, func, args)?;
+    let mut t = Thread::new(&code, func, &args)?;
     loop {
         match run(&mut t, &code, machine, u64::MAX)? {
             Yield::Done(v) => return Ok(v),
@@ -1265,7 +1268,7 @@ mod tests {
         let (p, id) = program_sum_to(1000);
         let mut m = Machine::new();
         let code = Code::new(&p);
-        let mut t = Thread::new(&code, id, vec![]).unwrap();
+        let mut t = Thread::new(&code, id, &[]).unwrap();
         let mut rounds = 0;
         let v = loop {
             match run(&mut t, &code, &mut m, 100).unwrap() {
@@ -1531,7 +1534,7 @@ mod tests {
         let id = p.add_func(fb.finish().unwrap());
         let mut m = Machine::new();
         let code = Code::new(&p);
-        let mut t = Thread::new(&code, id, vec![]).unwrap();
+        let mut t = Thread::new(&code, id, &[]).unwrap();
         match run(&mut t, &code, &mut m, u64::MAX).unwrap() {
             Yield::Mpi {
                 op: IntrinOp::MpiRank,
@@ -1568,7 +1571,7 @@ mod tests {
         p.validate().unwrap();
         let mut m = Machine::new();
         let code = Code::new(&p);
-        let mut t = Thread::new(&code, id, vec![]).unwrap();
+        let mut t = Thread::new(&code, id, &[]).unwrap();
         match run(&mut t, &code, &mut m, u64::MAX).unwrap() {
             Yield::Sync => {}
             other => panic!("expected sync, got {other:?}"),
@@ -1603,7 +1606,7 @@ mod tests {
         p.validate().unwrap();
         let mut m = Machine::new();
         let code = Code::new(&p);
-        let mut t = Thread::new(&code, f, vec![]).unwrap();
+        let mut t = Thread::new(&code, f, &[]).unwrap();
         match run(&mut t, &code, &mut m, u64::MAX).unwrap() {
             Yield::Launch {
                 kernel,

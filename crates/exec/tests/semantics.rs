@@ -232,7 +232,7 @@ fn fuel_boundary_never_changes_results() {
     };
     for fuel in [1, 7, 64] {
         let mut m = exec::Machine::new();
-        let mut t = exec::Thread::new(&code, p.entry.unwrap(), args.clone()).unwrap();
+        let mut t = exec::Thread::new(&code, p.entry.unwrap(), &args).unwrap();
         let small = loop {
             match exec::run(&mut t, &code, &mut m, fuel).unwrap() {
                 exec::Yield::Done(v) => break (v, m.counters.instrs, m.counters.cycles),

@@ -331,7 +331,7 @@ impl Gpu {
             for ty in 0..block[1] {
                 for tx in 0..block[0] {
                     threads.push(Ctx {
-                        thread: Thread::new(code, kernel, args.to_vec())?,
+                        thread: Thread::new(code, kernel, args)?,
                         idx: [tx, ty, tz],
                         st: St::Runnable,
                     });

@@ -1734,7 +1734,7 @@ impl RankPool for LocalPool<'_, '_> {
             let args = (self.make_args)(r, &mut machine)
                 .map_err(|m| err_on(r, format!("building entry args: {m}")))?;
             let thread =
-                Thread::new(self.code, self.entry, args).map_err(|e| err_on(r, e.to_string()))?;
+                Thread::new(self.code, self.entry, &args).map_err(|e| err_on(r, e.to_string()))?;
             let mut gpu = self.gpu.map(Gpu::new);
             if let (Some(g), Some(cfg)) = (gpu.as_mut(), self.fault) {
                 g.set_fault(device_fault_config(cfg, r));
