@@ -545,13 +545,14 @@ mod tests {
     fn kernel_scales_array_across_blocks() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let code = Code::new(&p);
         p.validate().unwrap();
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu
             .copy_in(&ArrStore::F32((0..10).map(|i| i as f32).collect()))
             .unwrap();
         let stats = gpu
-            .launch(&Code::new(&p), k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
+            .launch(&code, k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         assert_eq!(stats.blocks, 3);
         assert_eq!(stats.threads, 12);
@@ -632,12 +633,13 @@ mod tests {
     fn syncthreads_is_barrier_correct() {
         let mut p = Program::default();
         let k = reverse_kernel(&mut p);
+        let code = Code::new(&p);
         p.validate().unwrap();
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu
             .copy_in(&ArrStore::F32(vec![1.0, 2.0, 3.0, 4.0, 5.0]))
             .unwrap();
-        gpu.launch(&Code::new(&p), k, [1, 1, 1], [5, 1, 1], vec![Val::Arr(dev)])
+        gpu.launch(&code, k, [1, 1, 1], [5, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 5]);
         gpu.copy_out(dev, &mut out).unwrap();
@@ -653,9 +655,10 @@ mod tests {
         // arrays (a shared global would corrupt the second pass).
         let mut p = Program::default();
         let k = reverse_kernel(&mut p);
+        let code = Code::new(&p);
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu.copy_in(&ArrStore::F32(vec![1.0, 2.0, 3.0])).unwrap();
-        gpu.launch(&Code::new(&p), k, [2, 1, 1], [3, 1, 1], vec![Val::Arr(dev)])
+        gpu.launch(&code, k, [2, 1, 1], [3, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 3]);
         gpu.copy_out(dev, &mut out).unwrap();
@@ -666,26 +669,15 @@ mod tests {
     fn launch_time_scales_with_work() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let code = Code::new(&p);
         let mut gpu = Gpu::new(GpuConfig::default());
         let small = gpu.copy_in(&ArrStore::F32(vec![0.0; 64])).unwrap();
         let s1 = gpu
-            .launch(
-                &Code::new(&p),
-                k,
-                [2, 1, 1],
-                [32, 1, 1],
-                vec![Val::Arr(small)],
-            )
+            .launch(&code, k, [2, 1, 1], [32, 1, 1], vec![Val::Arr(small)])
             .unwrap();
         let big = gpu.copy_in(&ArrStore::F32(vec![0.0; 4096])).unwrap();
         let s2 = gpu
-            .launch(
-                &Code::new(&p),
-                k,
-                [128, 1, 1],
-                [32, 1, 1],
-                vec![Val::Arr(big)],
-            )
+            .launch(&code, k, [128, 1, 1], [32, 1, 1], vec![Val::Arr(big)])
             .unwrap();
         assert!(s2.executed_cycles > s1.executed_cycles);
         assert!(s2.kernel_time > s1.kernel_time);
@@ -696,13 +688,7 @@ mod tests {
         });
         let big2 = fat.copy_in(&ArrStore::F32(vec![0.0; 4096])).unwrap();
         let s3 = fat
-            .launch(
-                &Code::new(&p),
-                k,
-                [128, 1, 1],
-                [32, 1, 1],
-                vec![Val::Arr(big2)],
-            )
+            .launch(&code, k, [128, 1, 1], [32, 1, 1], vec![Val::Arr(big2)])
             .unwrap();
         assert!(s3.kernel_time < s2.kernel_time);
     }
@@ -711,16 +697,11 @@ mod tests {
     fn oversized_block_rejected() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let code = Code::new(&p);
         let mut gpu = Gpu::new(GpuConfig::default());
         let dev = gpu.copy_in(&ArrStore::F32(vec![0.0; 4])).unwrap();
         let e = gpu
-            .launch(
-                &Code::new(&p),
-                k,
-                [1, 1, 1],
-                [2048, 1, 1],
-                vec![Val::Arr(dev)],
-            )
+            .launch(&code, k, [1, 1, 1], [2048, 1, 1], vec![Val::Arr(dev)])
             .unwrap_err();
         assert!(e.message.contains("1024"), "{e}");
     }
@@ -729,6 +710,7 @@ mod tests {
     fn injected_device_crash_is_typed_and_deterministic() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let code = Code::new(&p);
         p.validate().unwrap();
         let run_once = || {
             let mut gpu = Gpu::new(GpuConfig::default());
@@ -738,7 +720,7 @@ mod tests {
             });
             let dev = gpu.copy_in(&ArrStore::F32(vec![1.0; 16])).unwrap();
             let e = gpu
-                .launch(&Code::new(&p), k, [2, 1, 1], [8, 1, 1], vec![Val::Arr(dev)])
+                .launch(&code, k, [2, 1, 1], [8, 1, 1], vec![Val::Arr(dev)])
                 .unwrap_err();
             assert!(e.is_injected(), "{e}");
             assert!(gpu.fault_stats().crashes >= 1);
@@ -754,6 +736,7 @@ mod tests {
     fn zero_rate_device_plans_change_nothing() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let code = Code::new(&p);
         p.validate().unwrap();
         let mut armed = Gpu::new(GpuConfig::default());
         armed.set_fault(FaultConfig::seeded(5));
@@ -761,7 +744,7 @@ mod tests {
             .copy_in(&ArrStore::F32((0..10).map(|i| i as f32).collect()))
             .unwrap();
         armed
-            .launch(&Code::new(&p), k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
+            .launch(&code, k, [3, 1, 1], [4, 1, 1], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 10]);
         armed.copy_out(dev, &mut out).unwrap();
@@ -776,17 +759,12 @@ mod tests {
     fn determinism_across_runs() {
         let mut p = Program::default();
         let k = scale_kernel(&mut p);
+        let code = Code::new(&p);
         let run_once = || {
             let mut gpu = Gpu::new(GpuConfig::default());
             let dev = gpu.copy_in(&ArrStore::F32(vec![1.0; 100])).unwrap();
             let stats = gpu
-                .launch(
-                    &Code::new(&p),
-                    k,
-                    [4, 1, 1],
-                    [32, 1, 1],
-                    vec![Val::Arr(dev)],
-                )
+                .launch(&code, k, [4, 1, 1], [32, 1, 1], vec![Val::Arr(dev)])
                 .unwrap();
             (stats.executed_cycles, stats.kernel_time, gpu.vtime)
         };
@@ -947,12 +925,13 @@ mod tests_3d {
         kb.emit(Instr::Ret(None));
         let mut p = nir::Program::default();
         let k = p.add_func(kb.finish().unwrap());
+        let code = Code::new(&p);
         p.validate().unwrap();
 
         let mut gpu = Gpu::new(GpuConfig::default());
         // grid 2x3x2, block 1x1x2 -> 24 cells
         let dev = gpu.copy_in(&ArrStore::F32(vec![-1.0; 24])).unwrap();
-        gpu.launch(&Code::new(&p), k, [2, 3, 2], [1, 1, 2], vec![Val::Arr(dev)])
+        gpu.launch(&code, k, [2, 3, 2], [1, 1, 2], vec![Val::Arr(dev)])
             .unwrap();
         let mut out = ArrStore::F32(vec![0.0; 24]);
         gpu.copy_out(dev, &mut out).unwrap();
