@@ -87,6 +87,8 @@ thread_local! {
 }
 
 impl Code {
+    /// Decode every function of `program` (microseconds per few hundred
+    /// instructions).
     pub fn new(program: &Program) -> Code {
         BUILDS.with(|b| b.set(b.get() + 1));
         let funcs = program
