@@ -116,9 +116,9 @@ impl Worker {
 /// connections, and the chaos knobs.
 pub struct RemotePool<'p, 'a> {
     program: &'p Program,
-    /// The caller's decoded form of the program, used to lay out the
-    /// seeded entry frames (decoded per seeding when absent).
-    code: Option<&'p Code>,
+    /// The program's decoded form, used to lay out the seeded entry
+    /// frames.
+    code: &'p Code,
     program_bytes: Vec<u8>,
     size: u32,
     entry: FuncId,
@@ -158,6 +158,7 @@ impl<'p, 'a> RemotePool<'p, 'a> {
     #[allow(clippy::too_many_arguments)] // mirrors LocalPool::new plus the launch/chaos knobs
     pub fn new(
         program: &'p Program,
+        code: &'p Code,
         size: u32,
         entry: FuncId,
         make_args: ArgBuilder<'a>,
@@ -179,7 +180,7 @@ impl<'p, 'a> RemotePool<'p, 'a> {
         let program_digest = nir::digest64(&program_bytes, WARM_DIGEST_SEED);
         Ok(RemotePool {
             program,
-            code: None,
+            code,
             program_bytes,
             size,
             entry,
@@ -510,17 +511,9 @@ impl RankPool for RemotePool<'_, '_> {
         // same argument builder, same fault derivation, same machine
         // layout — and ship them over as restores. A dist cold start is
         // therefore byte-identical to an mpi-sim cold start.
-        let owned;
-        let code = match self.code {
-            Some(code) => code,
-            None => {
-                owned = Code::new(self.program);
-                &owned
-            }
-        };
         let mut seed = mpi_sim::LocalPool::new(
             self.program,
-            code,
+            self.code,
             self.size,
             self.entry,
             &mut *self.make_args,
@@ -823,9 +816,8 @@ impl Drop for RemotePool<'_, '_> {
 /// pointers cannot cross a process boundary).
 pub struct DistWorld<'p> {
     pub program: &'p Program,
-    /// The caller's decoded form of the program (see
-    /// [`DistWorld::with_code`]).
-    pub code: Option<&'p Code>,
+    /// The program's decoded form (see [`mpi_sim::World::code`]).
+    pub code: &'p Code,
     pub size: u32,
     pub cost: CostModel,
     pub gpu: Option<GpuConfig>,
@@ -840,10 +832,10 @@ pub struct DistWorld<'p> {
 }
 
 impl<'p> DistWorld<'p> {
-    pub fn new(program: &'p Program, size: u32) -> Self {
+    pub fn new(program: &'p Program, code: &'p Code, size: u32) -> Self {
         DistWorld {
             program,
-            code: None,
+            code,
             size,
             cost: CostModel::default(),
             gpu: None,
@@ -856,13 +848,6 @@ impl<'p> DistWorld<'p> {
             kill_rank_after: None,
             warm_dir: None,
         }
-    }
-
-    /// Seed rank state with the caller's decoded form of the program
-    /// instead of decoding it on every run.
-    pub fn with_code(mut self, code: &'p Code) -> Self {
-        self.code = Some(code);
-        self
     }
 
     pub fn with_cost(mut self, cost: CostModel) -> Self {
@@ -942,6 +927,7 @@ impl<'p> DistWorld<'p> {
     fn pool<'a>(&self, make_args: ArgBuilder<'a>) -> Result<RemotePool<'p, 'a>, SimError> {
         RemotePool::new(
             self.program,
+            self.code,
             self.size,
             FuncId(0), // overwritten below; entry is per-run
             make_args,
@@ -951,10 +937,6 @@ impl<'p> DistWorld<'p> {
             self.kill_rank_after,
             self.warm_dir.clone(),
         )
-        .map(|mut pool| {
-            pool.code = self.code;
-            pool
-        })
     }
 
     /// Run `entry` on every rank — the distributed analogue of

@@ -6,6 +6,7 @@
 //! panic, no hang (every wire wait is deadline-bounded).
 
 use dist::{warm_program_path, DistWorld, Launch, WARM_DIGEST_SEED};
+use exec::Code;
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use mpi_sim::{SimError, World};
@@ -309,9 +310,12 @@ fn assert_runs_identical(a: &mpi_sim::WorldRun, b: &mpi_sim::WorldRun, what: &st
 #[test]
 fn process_ranks_are_bit_identical_to_mpi_sim_at_2_4_and_8() {
     let (p, entry) = ring_step_reduce(8, 6);
+    let code = Code::new(&p);
     for size in [2u32, 4, 8] {
-        let local = World::new(&p, size).run(entry, |_, _| Ok(vec![])).unwrap();
-        let remote = DistWorld::new(&p, size)
+        let local = World::new(&p, &code, size)
+            .run(entry, |_, _| Ok(vec![]))
+            .unwrap();
+        let remote = DistWorld::new(&p, &code, size)
             .with_launch(worker_launch())
             .run(entry, |_, _| Ok(vec![]))
             .unwrap();
@@ -324,8 +328,13 @@ fn thread_workers_speak_the_same_wire_protocol() {
     // Launch::Threads runs the identical framed protocol over real
     // loopback sockets — same INIT program bytes, same restores.
     let (p, entry) = ring_step_reduce(4, 3);
-    let local = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
-    let remote = DistWorld::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
+    let code = Code::new(&p);
+    let local = World::new(&p, &code, 4)
+        .run(entry, |_, _| Ok(vec![]))
+        .unwrap();
+    let remote = DistWorld::new(&p, &code, 4)
+        .run(entry, |_, _| Ok(vec![]))
+        .unwrap();
     assert_runs_identical(&local, &remote, "threads");
 }
 
@@ -333,8 +342,11 @@ fn thread_workers_speak_the_same_wire_protocol() {
 fn warm_dir_workers_are_bit_identical_and_persist_the_program_once() {
     let scratch = ScratchDir::new("warm");
     let (p, entry) = ring_step_reduce(8, 4);
-    let local = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
-    let world = DistWorld::new(&p, 4)
+    let code = Code::new(&p);
+    let local = World::new(&p, &code, 4)
+        .run(entry, |_, _| Ok(vec![]))
+        .unwrap();
+    let world = DistWorld::new(&p, &code, 4)
         .with_launch(worker_launch())
         .with_warm_dir(&scratch.0);
     let first = world.run(entry, |_, _| Ok(vec![])).unwrap();
@@ -358,7 +370,7 @@ fn warm_dir_workers_are_bit_identical_and_persist_the_program_once() {
     // A second world over the same directory boots warm — no re-publish
     // (mtime untouched) and still bit-identical results.
     let stamp = std::fs::metadata(&images[0]).unwrap().modified().unwrap();
-    let second = DistWorld::new(&p, 4)
+    let second = DistWorld::new(&p, &code, 4)
         .with_launch(worker_launch())
         .with_warm_dir(&scratch.0)
         .run(entry, |_, _| Ok(vec![]))
@@ -375,13 +387,16 @@ fn warm_dir_workers_are_bit_identical_and_persist_the_program_once() {
 fn a_corrupt_warm_image_falls_back_to_inline_init() {
     let scratch = ScratchDir::new("warm-corrupt");
     let (p, entry) = ring_step_reduce(6, 3);
-    let local = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
+    let code = Code::new(&p);
+    let local = World::new(&p, &code, 4)
+        .run(entry, |_, _| Ok(vec![]))
+        .unwrap();
 
     // Publish the warm image with a clean probe run, then overwrite it
     // with garbage at the exact path the coordinator will advertise:
     // workers digest-verify, answer a typed Err, and the coordinator
     // must re-Init inline — the run still completes bit-identically.
-    let probe = DistWorld::new(&p, 4).with_warm_dir(&scratch.0);
+    let probe = DistWorld::new(&p, &code, 4).with_warm_dir(&scratch.0);
     let good = probe.run(entry, |_, _| Ok(vec![])).unwrap();
     assert_runs_identical(&local, &good, "probe run");
     let images: Vec<_> = std::fs::read_dir(&scratch.0)
@@ -392,7 +407,7 @@ fn a_corrupt_warm_image_falls_back_to_inline_init() {
     assert_eq!(images.len(), 1);
     std::fs::write(&images[0], b"not a program image").unwrap();
 
-    let run = DistWorld::new(&p, 4)
+    let run = DistWorld::new(&p, &code, 4)
         .with_launch(worker_launch())
         .with_warm_dir(&scratch.0)
         .run(entry, |_, _| Ok(vec![]))
@@ -452,7 +467,8 @@ fn connect_retry_is_bounded_seeded_and_survives_a_late_listener() {
 #[test]
 fn a_killed_rank_process_fails_typed_without_checkpoints() {
     let (p, entry) = ring_step_reduce(8, 6);
-    let err = DistWorld::new(&p, 4)
+    let code = Code::new(&p);
+    let err = DistWorld::new(&p, &code, 4)
         .with_launch(worker_launch())
         .kill_rank_after(2, 5)
         .run(entry, |_, _| Ok(vec![]))
@@ -466,10 +482,13 @@ fn a_killed_rank_process_fails_typed_without_checkpoints() {
 #[test]
 fn a_killed_rank_process_recovers_through_the_checkpoint_chain() {
     let (p, entry) = ring_step_reduce(8, 6);
-    let clean = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
+    let code = Code::new(&p);
+    let clean = World::new(&p, &code, 4)
+        .run(entry, |_, _| Ok(vec![]))
+        .unwrap();
 
     let policy = mpi_sim::CheckpointPolicy::every(1);
-    let run = DistWorld::new(&p, 4)
+    let run = DistWorld::new(&p, &code, 4)
         .with_launch(worker_launch())
         .kill_rank_after(1, 6)
         .run_with_restart(entry, |_, _| Ok(vec![]), &policy, 4)

@@ -11,11 +11,11 @@
 use crate::weight;
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
-use nir::{ClassMeta, ElemTy, FuncId, Instr, IntrinOp, Program, Reg};
-use std::cell::Cell;
+use nir::{ClassMeta, FuncId, Instr, Program, Reg};
 
 /// One decoded instruction. Register operands are frame-local indices;
-/// jump targets are NIR pcs.
+/// jump targets are NIR pcs. Only the ops the loop runs inline have their
+/// own variant; the rest keep their NIR form.
 #[derive(Debug, Clone)]
 pub(crate) enum Op {
     Const(Reg, crate::Val),
@@ -28,9 +28,6 @@ pub(crate) enum Op {
     CmpF(BinOp, Reg, Reg, Reg),
     ArithD(BinOp, Reg, Reg, Reg),
     CmpD(BinOp, Reg, Reg, Reg),
-    /// Every other binary op (long and boolean operands).
-    Bin(BinOp, PrimKind, Reg, Reg, Reg),
-    Neg(PrimKind, Reg, Reg),
     Not(Reg, Reg),
     Cast(PrimKind, Reg, Reg),
     Jmp(u32),
@@ -39,26 +36,14 @@ pub(crate) enum Op {
     Call(FuncId, Box<[Reg]>, Option<Reg>),
     /// Selector, then the receiver followed by the arguments.
     CallVirt(u32, Box<[Reg]>, Option<Reg>),
-    CallHost(u32, Box<[Reg]>, Option<Reg>),
-    NewObj(u32, Reg),
     GetField(Reg, u32, Reg),
     PutField(Reg, u32, Reg),
-    NewArr(ElemTy, Reg, Reg),
     LdArr(Reg, Reg, Reg),
     StArr(Reg, Reg, Reg),
     ArrLen(Reg, Reg),
-    FreeArr(Reg),
-    /// Intrinsics the engine completes: math, printing, array copies.
-    Intrin(IntrinOp, Box<[Reg]>, Option<Reg>),
-    /// MPI ops, serviced by the MPI runtime.
-    Mpi(IntrinOp, Box<[Reg]>, Option<Reg>),
-    /// CUDA thread-register reads and device memory ops, serviced by
-    /// gpu-sim.
-    Device(IntrinOp, Box<[Reg]>, Option<Reg>),
-    /// Kernel, then grid (3), block (3) and argument registers.
-    Launch(FuncId, Box<[Reg]>),
-    SharedAlloc(ElemTy, Reg, Reg),
-    Sync,
+    /// Rare, costly or yielding instructions (long and boolean binary
+    /// ops, allocation, intrinsics, launches, barriers), run out of line.
+    Other(Box<Instr>),
 }
 
 /// One function's decoded stream plus the frame shape calls need.
@@ -82,15 +67,10 @@ pub struct Code {
     pub(crate) selectors: Vec<String>,
 }
 
-thread_local! {
-    static BUILDS: Cell<u64> = const { Cell::new(0) };
-}
-
 impl Code {
     /// Decode every function of `program` (microseconds per few hundred
     /// instructions).
     pub fn new(program: &Program) -> Code {
-        BUILDS.with(|b| b.set(b.get() + 1));
         let funcs = program
             .funcs
             .iter()
@@ -106,12 +86,6 @@ impl Code {
             classes: program.classes.clone(),
             selectors: program.selectors.clone(),
         }
-    }
-
-    /// How many [`Code`]s this OS thread has built: lets tests check
-    /// that repeated runs reuse one decoded form.
-    pub fn builds_on_this_thread() -> u64 {
-        BUILDS.with(Cell::get)
     }
 
     pub(crate) fn func(&self, id: FuncId) -> &DecodedFunc {
@@ -142,11 +116,10 @@ fn decode(ins: &Instr) -> Op {
                 (PrimKind::Float, true) => Op::CmpF,
                 (PrimKind::Double, false) => Op::ArithD,
                 (PrimKind::Double, true) => Op::CmpD,
-                _ => return Op::Bin(*op, *kind, *dst, *lhs, *rhs),
+                _ => return Op::Other(Box::new(ins.clone())),
             };
             bin(*op, *dst, *lhs, *rhs)
         }
-        Instr::Neg { kind, dst, src } => Op::Neg(*kind, *dst, *src),
         Instr::Not { dst, src } => Op::Not(*dst, *src),
         Instr::Cast { to, dst, src, .. } => Op::Cast(*to, *dst, *src),
         Instr::Jmp(t) => Op::Jmp(*t),
@@ -162,38 +135,11 @@ fn decode(ins: &Instr) -> Op {
             let all: Vec<Reg> = std::iter::once(*recv).chain(args.iter().copied()).collect();
             Op::CallVirt(*selector, all.into(), *dst)
         }
-        Instr::CallHost { host, args, dst } => Op::CallHost(*host, args[..].into(), *dst),
-        Instr::NewObj { class, dst } => Op::NewObj(*class, *dst),
         Instr::GetField { obj, slot, dst } => Op::GetField(*obj, *slot, *dst),
         Instr::PutField { obj, slot, src } => Op::PutField(*obj, *slot, *src),
-        Instr::NewArr { elem, len, dst } => Op::NewArr(*elem, *len, *dst),
         Instr::LdArr { arr, idx, dst } => Op::LdArr(*arr, *idx, *dst),
         Instr::StArr { arr, idx, src } => Op::StArr(*arr, *idx, *src),
         Instr::ArrLen { arr, dst } => Op::ArrLen(*arr, *dst),
-        Instr::FreeArr { arr } => Op::FreeArr(*arr),
-        Instr::Intrin { op, args, dst } => {
-            use IntrinOp::*;
-            let kind = match op {
-                ThreadIdx(_) | BlockIdx(_) | BlockDim(_) | GridDim(_) | CopyToGpu | CopyFromGpu
-                | CopyToGpuRange | CopyFromGpuRange | GpuAllocF32 | GpuFree => Op::Device,
-                MpiRank | MpiSize | MpiBarrier | MpiSendF32 | MpiRecvF32 | MpiSendRecvF32
-                | MpiBcastF32 | MpiAllreduceSumF64 | MpiAllreduceSumF32 | MpiAllreduceMaxF64 => {
-                    Op::Mpi
-                }
-                _ => Op::Intrin,
-            };
-            kind(*op, args[..].into(), *dst)
-        }
-        Instr::Launch {
-            kernel,
-            grid,
-            block,
-            args,
-        } => {
-            let all: Vec<Reg> = grid.iter().chain(block).chain(args).copied().collect();
-            Op::Launch(*kernel, all.into())
-        }
-        Instr::SharedAlloc { elem, len, dst } => Op::SharedAlloc(*elem, *len, *dst),
-        Instr::Sync => Op::Sync,
+        _ => Op::Other(Box::new(ins.clone())),
     }
 }

@@ -56,28 +56,55 @@ pub enum Val {
     Unit,
 }
 
-/// `Val::as_*` accessors: the payload, or a typed error naming what was
-/// found instead.
-macro_rules! accessors {
-    ($($name:ident: $v:ident -> $t:ty, $what:literal;)*) => {
-        impl Val {
-            $(pub fn $name(self) -> Result<$t, ExecError> {
-                match self {
-                    Val::$v(v) => Ok(v),
-                    other => Err(expected($what, other)),
-                }
-            })*
+impl Val {
+    pub fn as_i32(self) -> Result<i32, ExecError> {
+        match self {
+            Val::I32(v) => Ok(v),
+            other => Err(expected("i32", other)),
         }
-    };
-}
-accessors! {
-    as_i32: I32 -> i32, "i32";
-    as_i64: I64 -> i64, "i64";
-    as_f32: F32 -> f32, "f32";
-    as_f64: F64 -> f64, "f64";
-    as_bool: Bool -> bool, "bool";
-    as_arr: Arr -> u32, "array handle";
-    as_obj: Obj -> u32, "object handle";
+    }
+
+    pub fn as_i64(self) -> Result<i64, ExecError> {
+        match self {
+            Val::I64(v) => Ok(v),
+            other => Err(expected("i64", other)),
+        }
+    }
+
+    pub fn as_f32(self) -> Result<f32, ExecError> {
+        match self {
+            Val::F32(v) => Ok(v),
+            other => Err(expected("f32", other)),
+        }
+    }
+
+    pub fn as_f64(self) -> Result<f64, ExecError> {
+        match self {
+            Val::F64(v) => Ok(v),
+            other => Err(expected("f64", other)),
+        }
+    }
+
+    pub fn as_bool(self) -> Result<bool, ExecError> {
+        match self {
+            Val::Bool(v) => Ok(v),
+            other => Err(expected("bool", other)),
+        }
+    }
+
+    pub fn as_arr(self) -> Result<u32, ExecError> {
+        match self {
+            Val::Arr(v) => Ok(v),
+            other => Err(expected("array handle", other)),
+        }
+    }
+
+    pub fn as_obj(self) -> Result<u32, ExecError> {
+        match self {
+            Val::Obj(v) => Ok(v),
+            other => Err(expected("object handle", other)),
+        }
+    }
 }
 
 #[cold]
@@ -518,8 +545,11 @@ impl Thread {
     pub fn new(code: &Code, func: FuncId, args: &[Val]) -> Result<Thread, ExecError> {
         let f = code.func(func);
         if f.params != args.len() {
-            let message = format!("`{}` expects {} args, got {}", f.name, f.params, args.len());
-            return Err(ExecError::msg(message).at(&f.name, 0));
+            return Err(ExecError {
+                message: format!("`{}` expects {} args, got {}", f.name, f.params, args.len()),
+                func: f.name.clone(),
+                pc: 0,
+            });
         }
         let mut regs = vec![Val::Unit; f.nregs];
         regs[..args.len()].copy_from_slice(args);
@@ -754,9 +784,9 @@ fn dispatch(
                 let h = get!(a, Arr, as_arr);
                 r!(d) = Val::I32(tri!(machine.mem.arr(h).and_then(ArrStore::len)) as i32);
             }
-            _ => {
+            Op::Other(ins) => {
                 let retired = machine.counters.instrs + (fuel - left);
-                match tri!(rare(op, pc, &mut regs, thread, code, machine, retired)) {
+                match tri!(rare(ins, pc, &mut regs, thread, code, machine, retired)) {
                     None => {}
                     Some(y @ Yield::Crashed { .. }) => break Ok(y),
                     Some(y) => {
@@ -775,12 +805,12 @@ fn dispatch(
     out
 }
 
-/// The ops that are rare, costly or yield, kept out of the loop body.
-/// `Some(yield)` stops the slice; the loop advances the pc past every
-/// yield except a crash.
+/// The instructions that are rare, costly or yield, kept out of the loop
+/// body. `Some(yield)` stops the slice; the loop advances the pc past
+/// every yield except a crash.
 #[inline(never)]
 fn rare(
-    op: &Op,
+    ins: &Instr,
     pc: usize,
     regs: &mut [Val],
     thread: &mut Thread,
@@ -792,27 +822,29 @@ fn rare(
     // Fault injection: yield points are the places an execution context
     // can crash. The draw happens *before* the yield is surfaced, so the
     // runtime never services an op the crashed rank would not have issued.
-    if let Op::CallHost(..)
-    | Op::Mpi(..)
-    | Op::Device(..)
-    | Op::Launch(..)
-    | Op::SharedAlloc(..)
-    | Op::Sync = op
-    {
-        if let Some(plan) = machine.fault.as_mut() {
-            if plan.crash_at_yield() {
-                thread.done = true;
-                return Ok(Some(Yield::Crashed { step: retired }));
+    macro_rules! crash_check {
+        () => {
+            if let Some(plan) = machine.fault.as_mut() {
+                if plan.crash_at_yield() {
+                    thread.done = true;
+                    return Ok(Some(Yield::Crashed { step: retired }));
+                }
             }
-        }
+        };
     }
-    let y = match op {
-        Op::Bin(o, k, d, a, b) => {
-            regs[*d as usize] = binop(*o, *k, regs[*a as usize], regs[*b as usize])?;
+    let y = match ins {
+        Instr::Bin {
+            op,
+            kind,
+            dst,
+            lhs,
+            rhs,
+        } => {
+            regs[*dst as usize] = binop(*op, *kind, regs[*lhs as usize], regs[*rhs as usize])?;
             return Ok(None);
         }
-        Op::Neg(k, d, s) => {
-            regs[*d as usize] = match (k, regs[*s as usize]) {
+        Instr::Neg { kind, dst, src } => {
+            regs[*dst as usize] = match (kind, regs[*src as usize]) {
                 (PrimKind::Int, Val::I32(x)) => Val::I32(x.wrapping_neg()),
                 (PrimKind::Long, Val::I64(x)) => Val::I64(x.wrapping_neg()),
                 (PrimKind::Float, Val::F32(x)) => Val::F32(-x),
@@ -821,80 +853,106 @@ fn rare(
             };
             return Ok(None);
         }
-        Op::NewObj(class, d) => {
+        Instr::NewObj { class, dst } => {
             let fields = code.classes[*class as usize].field_count as usize;
-            regs[*d as usize] = Val::Obj(machine.objs.alloc(*class, fields));
+            regs[*dst as usize] = Val::Obj(machine.objs.alloc(*class, fields));
             return Ok(None);
         }
-        Op::NewArr(elem, n, d) => {
-            let n = regs[*n as usize].as_i32()?;
+        Instr::NewArr { elem, len, dst } => {
+            let n = regs[*len as usize].as_i32()?;
             if n < 0 {
                 return Err(format!("negative array size {n}").into());
             }
             // Charge zero-fill cost proportional to the allocation.
             machine.counters.cycles += (n as u64) / 16;
-            regs[*d as usize] = Val::Arr(machine.mem.alloc(ArrStore::new(*elem, n as usize)));
+            regs[*dst as usize] = Val::Arr(machine.mem.alloc(ArrStore::new(*elem, n as usize)));
             return Ok(None);
         }
-        Op::FreeArr(a) => {
-            machine.mem.free(regs[*a as usize].as_arr()?)?;
+        Instr::FreeArr { arr } => {
+            machine.mem.free(regs[*arr as usize].as_arr()?)?;
             return Ok(None);
         }
-        Op::CallHost(host, args, dst) => {
+        Instr::CallHost { host, args, dst } => {
+            crash_check!();
             thread.pending_dst = *dst;
             Yield::Host {
                 host: *host,
                 args: argv(args),
             }
         }
-        Op::Mpi(op, args, dst) => {
-            thread.pending_dst = *dst;
-            Yield::Mpi {
-                op: *op,
-                args: argv(args),
+        Instr::Intrin { op, args, dst } => {
+            use IntrinOp::*;
+            match op {
+                // CUDA thread-register reads and device memory ops are
+                // serviced by gpu-sim, which substitutes the coordinate of
+                // the executing CUDA thread or performs the copy.
+                ThreadIdx(_) | BlockIdx(_) | BlockDim(_) | GridDim(_) | CopyToGpu | CopyFromGpu
+                | CopyToGpuRange | CopyFromGpuRange | GpuAllocF32 | GpuFree => {
+                    crash_check!();
+                    thread.pending_dst = *dst;
+                    Yield::GpuMem {
+                        op: *op,
+                        args: argv(args),
+                    }
+                }
+                MpiRank | MpiSize | MpiBarrier | MpiSendF32 | MpiRecvF32 | MpiSendRecvF32
+                | MpiBcastF32 | MpiAllreduceSumF64 | MpiAllreduceSumF32 | MpiAllreduceMaxF64 => {
+                    crash_check!();
+                    thread.pending_dst = *dst;
+                    Yield::Mpi {
+                        op: *op,
+                        args: argv(args),
+                    }
+                }
+                SqrtF64 | SqrtF32 | PowF64 | ExpF64 | AbsF32 | AbsF64 | AbsI32 | MinI32
+                | MaxI32 | MinF32 | MaxF32 | ArrayCopyF32 | PrintI32 | PrintI64 | PrintF32
+                | PrintF64 | PrintBool => {
+                    intrinsic(*op, &argv(args), *dst, regs, machine)?;
+                    return Ok(None);
+                }
             }
         }
-        Op::Device(op, args, dst) => {
-            thread.pending_dst = *dst;
-            Yield::GpuMem {
-                op: *op,
-                args: argv(args),
-            }
-        }
-        Op::Intrin(op, args, dst) => {
-            intrinsic(*op, &argv(args), *dst, regs, machine)?;
-            return Ok(None);
-        }
-        Op::Launch(kernel, all) => {
-            let mut dims = [0u32; 6];
-            for (dim, r) in dims.iter_mut().zip(all.iter()) {
+        Instr::Launch {
+            kernel,
+            grid,
+            block,
+            args,
+        } => {
+            crash_check!();
+            let dim = |r: &Reg| -> Result<u32, ExecError> {
                 let v = regs[*r as usize].as_i32()?;
                 if v <= 0 {
                     return Err(format!("non-positive launch dimension {v}").into());
                 }
-                *dim = v as u32;
-            }
+                Ok(v as u32)
+            };
+            let grid = [dim(&grid[0])?, dim(&grid[1])?, dim(&grid[2])?];
+            let block = [dim(&block[0])?, dim(&block[1])?, dim(&block[2])?];
             thread.pending_dst = None;
             Yield::Launch {
                 kernel: *kernel,
-                grid: [dims[0], dims[1], dims[2]],
-                block: [dims[3], dims[4], dims[5]],
-                args: argv(&all[6..]),
+                grid,
+                block,
+                args: argv(args),
             }
         }
-        Op::SharedAlloc(elem, n, d) => {
-            let n = regs[*n as usize].as_i32()?;
+        Instr::SharedAlloc { elem, len, dst } => {
+            crash_check!();
+            let n = regs[*len as usize].as_i32()?;
             if n < 0 {
                 return Err(format!("negative shared allocation {n}").into());
             }
-            thread.pending_dst = Some(*d);
+            thread.pending_dst = Some(*dst);
             Yield::SharedAlloc {
                 elem: *elem,
                 len: n as usize,
                 pc: pc as u32,
             }
         }
-        Op::Sync => Yield::Sync,
+        Instr::Sync => {
+            crash_check!();
+            Yield::Sync
+        }
         hot => unreachable!("{hot:?} is dispatched in the loop"),
     };
     Ok(Some(y))
@@ -943,8 +1001,11 @@ fn intrinsic(
             }
             return Ok(());
         }
-        // The print family.
-        _ => {
+        IntrinOp::PrintI32
+        | IntrinOp::PrintI64
+        | IntrinOp::PrintF32
+        | IntrinOp::PrintF64
+        | IntrinOp::PrintBool => {
             machine.output.push(match x {
                 Val::I32(v) => v.to_string(),
                 Val::I64(v) => v.to_string(),
@@ -955,6 +1016,7 @@ fn intrinsic(
             });
             return Ok(());
         }
+        serviced => unreachable!("{serviced:?} yields to its runtime"),
     };
     regs[dst.expect("math intrinsics write a register") as usize] = v;
     Ok(())
@@ -1165,39 +1227,40 @@ fn compare<T: PartialOrd>(op: BinOp, a: T, b: T) -> Option<bool> {
 
 /// Java primitive conversions (`as` saturates like the JLS).
 fn numcast(to: PrimKind, v: Val) -> Result<Val, ExecError> {
-    macro_rules! to {
-        ($wrap:path, $t:ty) => {
-            match v {
-                Val::I32(x) => $wrap(x as $t),
-                Val::I64(x) => $wrap(x as $t),
-                Val::F32(x) => $wrap(x as $t),
-                Val::F64(x) => $wrap(x as $t),
-                _ => return Err(cast_error(to, v)),
-            }
-        };
-    }
     Ok(match to {
-        PrimKind::Int => to!(Val::I32, i32),
-        PrimKind::Long => to!(Val::I64, i64),
-        PrimKind::Float => to!(Val::F32, f32),
-        PrimKind::Double => to!(Val::F64, f64),
+        PrimKind::Int => Val::I32(match v {
+            Val::I32(x) => x,
+            Val::I64(x) => x as i32,
+            Val::F32(x) => x as i32,
+            Val::F64(x) => x as i32,
+            other => return Err(ExecError::msg(format!("cannot cast {other:?} to int"))),
+        }),
+        PrimKind::Long => Val::I64(match v {
+            Val::I32(x) => x as i64,
+            Val::I64(x) => x,
+            Val::F32(x) => x as i64,
+            Val::F64(x) => x as i64,
+            other => return Err(ExecError::msg(format!("cannot cast {other:?} to long"))),
+        }),
+        PrimKind::Float => Val::F32(match v {
+            Val::I32(x) => x as f32,
+            Val::I64(x) => x as f32,
+            Val::F32(x) => x,
+            Val::F64(x) => x as f32,
+            other => return Err(ExecError::msg(format!("cannot cast {other:?} to float"))),
+        }),
+        PrimKind::Double => Val::F64(match v {
+            Val::I32(x) => x as f64,
+            Val::I64(x) => x as f64,
+            Val::F32(x) => x as f64,
+            Val::F64(x) => x,
+            other => return Err(ExecError::msg(format!("cannot cast {other:?} to double"))),
+        }),
         PrimKind::Boolean => match v {
             Val::Bool(_) => v,
-            _ => return Err(cast_error(to, v)),
+            other => return Err(ExecError::msg(format!("cannot cast {other:?} to boolean"))),
         },
     })
-}
-
-#[cold]
-fn cast_error(to: PrimKind, v: Val) -> ExecError {
-    let to = match to {
-        PrimKind::Int => "int",
-        PrimKind::Long => "long",
-        PrimKind::Float => "float",
-        PrimKind::Double => "double",
-        PrimKind::Boolean => "boolean",
-    };
-    ExecError::msg(format!("cannot cast {v:?} to {to}"))
 }
 
 #[cfg(test)]

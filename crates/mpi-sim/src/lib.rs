@@ -455,9 +455,9 @@ pub(crate) fn device_fault_config(cfg: FaultConfig, rank: u32) -> FaultConfig {
 /// A simulated MPI world over a translated program.
 pub struct World<'p> {
     pub program: &'p Program,
-    /// The program's decoded form, when the caller holds one (see
-    /// [`World::with_code`]); otherwise each run decodes it once.
-    pub code: Option<&'p Code>,
+    /// The program's decoded form, built once by the caller and shared
+    /// by every run, rank and slice.
+    pub code: &'p Code,
     pub size: u32,
     pub cost: CostModel,
     /// One GPU per rank when set (the paper's GPU experiments).
@@ -494,10 +494,10 @@ pub struct World<'p> {
 pub const DEFAULT_FAULT_TIMEOUT_ROUNDS: u64 = 100_000;
 
 impl<'p> World<'p> {
-    pub fn new(program: &'p Program, size: u32) -> Self {
+    pub fn new(program: &'p Program, code: &'p Code, size: u32) -> Self {
         World {
             program,
-            code: None,
+            code,
             size,
             cost: CostModel::default(),
             gpu: None,
@@ -516,13 +516,6 @@ impl<'p> World<'p> {
     /// real OS-thread workers ([`ExecutorCfg::Threads`]).
     pub fn with_executor(mut self, executor: ExecutorCfg) -> Self {
         self.executor = executor;
-        self
-    }
-
-    /// Run the caller's decoded form of the program, so repeated runs of
-    /// one artifact never re-decode it.
-    pub fn with_code(mut self, code: &'p Code) -> Self {
-        self.code = Some(code);
         self
     }
 
@@ -591,9 +584,9 @@ impl<'p> World<'p> {
         entry: FuncId,
         mut make_args: impl FnMut(u32, &mut Machine) -> Result<Vec<Val>, String>,
     ) -> Result<WorldRun, SimError> {
-        self.with_pool(entry, &mut make_args, |pool| {
-            runtime::run_world(&self.run_cfg(), pool, &mut InMemTransport::new())
-        })
+        let mut pool = self.pool(entry, &mut make_args);
+        let mut transport = InMemTransport::new();
+        runtime::run_world(&self.run_cfg(), &mut pool, &mut transport)
     }
 
     /// Like [`World::run`], but checkpoint every
@@ -610,37 +603,22 @@ impl<'p> World<'p> {
         policy: &CheckpointPolicy,
         max_restarts: u32,
     ) -> Result<WorldRun, SimError> {
-        self.with_pool(entry, &mut make_args, |pool| {
-            let mut transport = InMemTransport::new();
-            runtime::run_world_with_restart(
-                &self.run_cfg(),
-                pool,
-                &mut transport,
-                policy,
-                max_restarts,
-            )
-        })
+        let mut pool = self.pool(entry, &mut make_args);
+        let mut transport = InMemTransport::new();
+        runtime::run_world_with_restart(
+            &self.run_cfg(),
+            &mut pool,
+            &mut transport,
+            policy,
+            max_restarts,
+        )
     }
 
-    /// Hand `go` the in-process rank pool for one run of this world,
-    /// decoding the program first unless the caller supplied its code.
-    fn with_pool<R>(
-        &self,
-        entry: FuncId,
-        make_args: ArgBuilder<'_>,
-        go: impl FnOnce(&mut LocalPool<'_, '_>) -> R,
-    ) -> R {
-        let owned;
-        let code = match self.code {
-            Some(code) => code,
-            None => {
-                owned = Code::new(self.program);
-                &owned
-            }
-        };
-        let mut pool = LocalPool::new(
+    /// The in-process rank pool for one run of this world.
+    fn pool<'a>(&self, entry: FuncId, make_args: ArgBuilder<'a>) -> LocalPool<'p, 'a> {
+        LocalPool::new(
             self.program,
-            code,
+            self.code,
             self.size,
             entry,
             make_args,
@@ -648,8 +626,7 @@ impl<'p> World<'p> {
             self.fault,
         )
         .with_host(self.host)
-        .with_executor(self.executor);
-        go(&mut pool)
+        .with_executor(self.executor)
     }
 }
 #[cfg(test)]
@@ -663,13 +640,12 @@ mod tests {
     /// A fresh local pool + empty scheduler state for checkpoint tests.
     fn test_pool<'p, 'a>(
         world: &World<'p>,
-        code: &'p Code,
         entry: FuncId,
         make_args: ArgBuilder<'a>,
     ) -> (LocalPool<'p, 'a>, Vec<RankCtl>, InMemTransport) {
         let mut pool = LocalPool::new(
             world.program,
-            code,
+            world.code,
             world.size,
             entry,
             make_args,
@@ -817,7 +793,8 @@ mod tests {
     #[test]
     fn ring_exchange_across_four_ranks() {
         let (p, entry) = ring_program();
-        let world = World::new(&p, 4);
+        let code = Code::new(&p);
+        let world = World::new(&p, &code, 4);
         let run = world.run(entry, |_, _| Ok(vec![])).unwrap();
         // Each rank receives from its left neighbor.
         for (r, out) in run.ranks.iter().enumerate() {
@@ -830,7 +807,8 @@ mod tests {
     #[test]
     fn single_rank_world_is_self_consistent() {
         let (p, entry) = ring_program();
-        let world = World::new(&p, 1);
+        let code = Code::new(&p);
+        let world = World::new(&p, &code, 1);
         let run = world.run(entry, |_, _| Ok(vec![])).unwrap();
         // Self-send: rank 0 receives its own data.
         assert_eq!(run.ranks[0].result, Some(Val::F32(0.0)));
@@ -867,7 +845,8 @@ mod tests {
     #[test]
     fn allreduce_sums_across_ranks() {
         let (p, entry) = allreduce_program();
-        let world = World::new(&p, 5);
+        let code = Code::new(&p);
+        let world = World::new(&p, &code, 5);
         let run = world.run(entry, |_, _| Ok(vec![])).unwrap();
         for out in &run.ranks {
             assert_eq!(out.result, Some(Val::F64(10.0))); // 0+1+2+3+4
@@ -926,7 +905,8 @@ mod tests {
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
         p.validate().unwrap();
-        let world = World::new(&p, 2);
+        let code = Code::new(&p);
+        let world = World::new(&p, &code, 2);
         let e = world.run(id, |_, _| Ok(vec![])).unwrap_err();
         let SimError::Deadlock { report } = &e else {
             panic!("expected Deadlock, got {e}");
@@ -942,12 +922,13 @@ mod tests {
     #[test]
     fn virtual_time_grows_with_message_volume() {
         let (p, entry) = ring_program();
-        let cheap = World::new(&p, 4).with_cost(CostModel {
+        let code = Code::new(&p);
+        let cheap = World::new(&p, &code, 4).with_cost(CostModel {
             alpha: 10,
             beta: 0.01,
             collective_alpha: 10,
         });
-        let costly = World::new(&p, 4).with_cost(CostModel {
+        let costly = World::new(&p, &code, 4).with_cost(CostModel {
             alpha: 100_000,
             beta: 10.0,
             collective_alpha: 10,
@@ -963,7 +944,8 @@ mod tests {
     #[test]
     fn determinism() {
         let (p, entry) = ring_program();
-        let world = World::new(&p, 4);
+        let code = Code::new(&p);
+        let world = World::new(&p, &code, 4);
         let a = world.run(entry, |_, _| Ok(vec![])).unwrap();
         let b = world.run(entry, |_, _| Ok(vec![])).unwrap();
         assert_eq!(a.vtime, b.vtime);
@@ -991,7 +973,8 @@ mod tests {
         let mut p = Program::default();
         let id = p.add_func(fb.finish().unwrap());
         p.validate().unwrap();
-        let world = World::new(&p, 3);
+        let code = Code::new(&p);
+        let world = World::new(&p, &code, 3);
         let run = world
             .run(id, |r, machine| {
                 let h = machine.mem.alloc(ArrStore::F32(vec![r as f32 * 10.0]));
@@ -1075,12 +1058,12 @@ mod tests {
     #[test]
     fn checkpoint_capture_restore_capture_is_bit_identical() {
         let (p, entry) = stepped_allreduce(3);
+        let code = Code::new(&p);
         let mut cfg = FaultConfig::seeded(42);
         cfg.crash = 0.001;
-        let world = World::new(&p, 3).with_faults(cfg);
-        let code = Code::new(&p);
+        let world = World::new(&p, &code, 3).with_faults(cfg);
         let mut args = |_: u32, _: &mut Machine| Ok(vec![]);
-        let (mut pool, ctls, mut transport) = test_pool(&world, &code, entry, &mut args);
+        let (mut pool, ctls, mut transport) = test_pool(&world, entry, &mut args);
         let rc = world.run_cfg();
         let first = runtime::capture_world(&rc, &mut pool, &ctls, &transport).unwrap();
         let ctls2 = runtime::restore_world(&rc, &mut pool, &mut transport, &first.bytes).unwrap();
@@ -1092,15 +1075,15 @@ mod tests {
     #[test]
     fn restore_rejects_wrong_world_size_and_garbage() {
         let (p, entry) = stepped_allreduce(2);
-        let world = World::new(&p, 3);
         let code = Code::new(&p);
+        let world = World::new(&p, &code, 3);
         let mut args = |_: u32, _: &mut Machine| Ok(vec![]);
-        let (mut pool, ctls, mut transport) = test_pool(&world, &code, entry, &mut args);
+        let (mut pool, ctls, mut transport) = test_pool(&world, entry, &mut args);
         let rc = world.run_cfg();
         let wc = runtime::capture_world(&rc, &mut pool, &ctls, &transport).unwrap();
-        let smaller = World::new(&p, 2);
+        let smaller = World::new(&p, &code, 2);
         let mut args2 = |_: u32, _: &mut Machine| Ok(vec![]);
-        let (mut pool2, _, mut transport2) = test_pool(&smaller, &code, entry, &mut args2);
+        let (mut pool2, _, mut transport2) = test_pool(&smaller, entry, &mut args2);
         assert!(
             runtime::restore_world(&smaller.run_cfg(), &mut pool2, &mut transport2, &wc.bytes)
                 .is_err()
@@ -1124,13 +1107,13 @@ mod tests {
         // restore into a world stamped with another — the typed
         // ScopeMismatch, not a decode attempt.
         let (p, entry) = stepped_allreduce(2);
-        let dist_like = World::new(&p, 2).with_ckpt_salt(0xD157_0000_0000_0001);
         let code = Code::new(&p);
+        let dist_like = World::new(&p, &code, 2).with_ckpt_salt(0xD157_0000_0000_0001);
         let mut args = |_: u32, _: &mut Machine| Ok(vec![]);
-        let (mut pool, ctls, mut transport) = test_pool(&dist_like, &code, entry, &mut args);
+        let (mut pool, ctls, mut transport) = test_pool(&dist_like, entry, &mut args);
         let wc =
             runtime::capture_world(&dist_like.run_cfg(), &mut pool, &ctls, &transport).unwrap();
-        let mpi_like = World::new(&p, 2);
+        let mpi_like = World::new(&p, &code, 2);
         let err = runtime::restore_world(&mpi_like.run_cfg(), &mut pool, &mut transport, &wc.bytes)
             .unwrap_err();
         let CkptError::ScopeMismatch { expected, found } = err else {
@@ -1148,13 +1131,14 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("world.wckpt");
         let (p, entry) = stepped_allreduce(4);
+        let code = Code::new(&p);
         let policy = CheckpointPolicy::every(1).with_persist(&path);
-        let salted = World::new(&p, 3).with_ckpt_salt(7);
+        let salted = World::new(&p, &code, 3).with_ckpt_salt(7);
         salted
             .run_with_restart(entry, |_, _| Ok(vec![]), &policy, 4)
             .unwrap();
         let before = std::fs::read(&path).unwrap();
-        let foreign = World::new(&p, 3);
+        let foreign = World::new(&p, &code, 3);
         let err = foreign
             .run_with_restart(entry, |_, _| Ok(vec![]), &policy, 4)
             .unwrap_err();
@@ -1171,7 +1155,8 @@ mod tests {
     #[test]
     fn restart_recovers_a_crashing_world_bit_identically() {
         let (p, entry) = stepped_allreduce(10);
-        let clean: Vec<Option<Val>> = World::new(&p, 4)
+        let code = Code::new(&p);
+        let clean: Vec<Option<Val>> = World::new(&p, &code, 4)
             .run(entry, |_, _| Ok(vec![]))
             .unwrap()
             .ranks
@@ -1184,7 +1169,9 @@ mod tests {
         for seed in 0..64u64 {
             let mut cfg = FaultConfig::seeded(0xC0DE + seed);
             cfg.crash = 0.004;
-            let world = World::new(&p, 4).with_faults(cfg).with_timeout(5_000);
+            let world = World::new(&p, &code, 4)
+                .with_faults(cfg)
+                .with_timeout(5_000);
             let Err(SimError::Crash { .. }) = world.run(entry, |_, _| Ok(vec![])) else {
                 continue;
             };
@@ -1213,9 +1200,10 @@ mod tests {
     #[test]
     fn restart_budget_exhaustion_returns_the_typed_error() {
         let (p, entry) = stepped_allreduce(6);
+        let code = Code::new(&p);
         let mut cfg = FaultConfig::seeded(5);
         cfg.crash = 1.0; // every attempt dies at its first draw
-        let world = World::new(&p, 3).with_faults(cfg);
+        let world = World::new(&p, &code, 3).with_faults(cfg);
         let err = world
             .run_with_restart(entry, |_, _| Ok(vec![]), &CheckpointPolicy::every(1), 2)
             .unwrap_err();
@@ -1235,8 +1223,11 @@ mod tests {
     #[test]
     fn restart_is_a_no_op_for_healthy_worlds() {
         let (p, entry) = stepped_allreduce(5);
-        let plain = World::new(&p, 4).run(entry, |_, _| Ok(vec![])).unwrap();
-        let ck = World::new(&p, 4)
+        let code = Code::new(&p);
+        let plain = World::new(&p, &code, 4)
+            .run(entry, |_, _| Ok(vec![]))
+            .unwrap();
+        let ck = World::new(&p, &code, 4)
             .run_with_restart(entry, |_, _| Ok(vec![]), &CheckpointPolicy::every(2), 8)
             .unwrap();
         assert_eq!(ck.restart.restarts, 0);
@@ -1254,8 +1245,9 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("world.wckpt");
         let (p, entry) = stepped_allreduce(6);
+        let code = Code::new(&p);
         let policy = CheckpointPolicy::every(1).with_persist(&path);
-        let world = World::new(&p, 3);
+        let world = World::new(&p, &code, 3);
         let expect = world
             .run_with_restart(entry, |_, _| Ok(vec![]), &policy, 4)
             .unwrap();

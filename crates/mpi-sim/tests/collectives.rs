@@ -1,7 +1,7 @@
 //! MPI-sim collectives and messaging edge cases: broadcast, max-reduce,
 //! FIFO ordering, tag separation, and cost-model monotonicity.
 
-use exec::{ArrStore, Val};
+use exec::{ArrStore, Code, Val};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use mpi_sim::{CostModel, World};
@@ -43,7 +43,8 @@ fn bcast_program() -> (Program, FuncId) {
 #[test]
 fn broadcast_distributes_the_roots_buffer() {
     let (p, entry) = bcast_program();
-    let world = World::new(&p, 4);
+    let code = Code::new(&p);
+    let world = World::new(&p, &code, 4);
     let run = world
         .run(entry, |r, machine| {
             let v = if r == 1 { 42.5 } else { r as f32 };
@@ -72,7 +73,8 @@ fn allreduce_max_program() -> (Program, FuncId) {
 #[test]
 fn allreduce_max_takes_the_maximum() {
     let (p, entry) = allreduce_max_program();
-    let world = World::new(&p, 5);
+    let code = Code::new(&p);
+    let world = World::new(&p, &code, 5);
     let run = world
         .run(entry, |r, _| Ok(vec![Val::F64((r as f64 - 2.0) * 3.0)]))
         .unwrap();
@@ -193,7 +195,8 @@ fn fifo_program() -> (Program, FuncId) {
 #[test]
 fn same_tag_messages_arrive_in_fifo_order() {
     let (p, entry) = fifo_program();
-    let world = World::new(&p, 2);
+    let code = Code::new(&p);
+    let world = World::new(&p, &code, 2);
     let run = world.run(entry, |_, _| Ok(vec![])).unwrap();
     // receiver: 10.0 + 0.001 * 20.0
     assert_eq!(run.ranks[1].result, Some(Val::F32(10.0 + 0.001 * 20.0)));
@@ -292,7 +295,8 @@ fn tag_program() -> (Program, FuncId) {
 #[test]
 fn tags_select_matching_messages() {
     let (p, entry) = tag_program();
-    let world = World::new(&p, 2);
+    let code = Code::new(&p);
+    let world = World::new(&p, &code, 2);
     let run = world.run(entry, |_, _| Ok(vec![])).unwrap();
     assert_eq!(run.ranks[1].result, Some(Val::F32(2.0)));
 }
@@ -300,8 +304,9 @@ fn tags_select_matching_messages() {
 #[test]
 fn collective_cost_scales_with_world_size() {
     let (p, entry) = allreduce_max_program();
+    let code = Code::new(&p);
     let t = |size: u32| {
-        World::new(&p, size)
+        World::new(&p, &code, size)
             .with_cost(CostModel {
                 alpha: 1000,
                 beta: 0.5,
@@ -339,7 +344,8 @@ fn rank_out_of_range_is_an_error() {
     fb.emit(Instr::Ret(None));
     let mut p = Program::default();
     let id = p.add_func(fb.finish().unwrap());
-    let world = World::new(&p, 2);
+    let code = Code::new(&p);
+    let world = World::new(&p, &code, 2);
     let e = world.run(id, |_, _| Ok(vec![])).unwrap_err();
     assert!(matches!(e, mpi_sim::SimError::Rank { rank: 0, .. }), "{e}");
     assert!(e.to_string().contains("out of range"), "{e}");

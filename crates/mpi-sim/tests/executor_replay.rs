@@ -8,7 +8,7 @@
 //! No proptest/quickcheck: cases are driven by the same xorshift64*
 //! idiom the fault plans themselves use, so the suite is deterministic.
 
-use exec::FaultConfig;
+use exec::{Code, FaultConfig};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use mpi_sim::{CheckpointPolicy, ExecMode, ExecutorCfg, World, WorldRun};
@@ -190,12 +190,13 @@ fn fingerprint(run: &WorldRun) -> String {
 /// typed failure — both sides of the property must match exactly.
 fn run_case(
     program: &Program,
+    code: &Code,
     entry: FuncId,
     size: u32,
     cfg: FaultConfig,
     executor: ExecutorCfg,
 ) -> Result<String, String> {
-    let world = World::new(program, size)
+    let world = World::new(program, code, size)
         .with_faults(cfg)
         .with_timeout(5_000)
         .with_executor(executor);
@@ -213,6 +214,7 @@ fn run_case(
 #[test]
 fn thread_replay_matches_sim_for_any_fault_plan_and_worker_count() {
     let (program, entry) = ring_program(5);
+    let code = Code::new(&program);
     let mut completed = 0usize;
     let mut failed = 0usize;
     for seed in 0..64u64 {
@@ -224,10 +226,11 @@ fn thread_replay_matches_sim_for_any_fault_plan_and_worker_count() {
         cfg.msg_drop = unit(&mut s) * 0.04;
         cfg.msg_corrupt = unit(&mut s) * 0.08;
         cfg.msg_delay = unit(&mut s) * 0.10;
-        let reference = run_case(&program, entry, size, cfg, ExecutorCfg::Sim);
+        let reference = run_case(&program, &code, entry, size, cfg, ExecutorCfg::Sim);
         for workers in [1u32, 2, 4, 8] {
             let threaded = run_case(
                 &program,
+                &code,
                 entry,
                 size,
                 cfg,
@@ -260,13 +263,14 @@ fn thread_replay_matches_sim_for_any_fault_plan_and_worker_count() {
 #[test]
 fn thread_replay_matches_sim_through_restarts() {
     let (program, entry) = ring_program(4);
+    let code = Code::new(&program);
     let policy = CheckpointPolicy::every(1);
     let mut recovered = 0usize;
     for seed in 0..12u64 {
         let mut cfg = FaultConfig::seeded(0xC4A5_0000 + seed);
         cfg.crash = 0.05;
         let run = |executor: ExecutorCfg| {
-            World::new(&program, 4)
+            World::new(&program, &code, 4)
                 .with_faults(cfg)
                 .with_timeout(20_000)
                 .with_executor(executor)
@@ -302,8 +306,9 @@ fn thread_replay_matches_sim_through_restarts() {
 #[test]
 fn free_mode_preserves_values_fault_free() {
     let (program, entry) = ring_program(5);
+    let code = Code::new(&program);
     let values = |executor: ExecutorCfg| {
-        let run = World::new(&program, 4)
+        let run = World::new(&program, &code, 4)
             .with_executor(executor)
             .run(entry, |_, _| Ok(vec![]))
             .unwrap();

@@ -6,7 +6,7 @@
 //! No proptest/quickcheck: cases are driven by the same xorshift64* idiom
 //! the fault plans themselves use, so the whole suite is deterministic.
 
-use exec::{FaultConfig, Val};
+use exec::{Code, FaultConfig, Val};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use mpi_sim::{SimError, World};
@@ -167,11 +167,12 @@ fn ring_program(steps: i32) -> (Program, FuncId) {
 /// either the (stats, vtime) pair or the typed error's display string.
 fn run_case(
     program: &Program,
+    code: &Code,
     entry: FuncId,
     size: u32,
     cfg: FaultConfig,
 ) -> Result<String, String> {
-    let world = World::new(program, size)
+    let world = World::new(program, code, size)
         .with_faults(cfg)
         .with_timeout(5_000);
     match world.run(entry, |_, _| Ok(vec![])) {
@@ -193,6 +194,7 @@ fn run_case(
 #[test]
 fn any_fault_plan_completes_or_fails_typed_and_reproducibly() {
     let (program, entry) = ring_program(6);
+    let code = Code::new(&program);
     let mut completed = 0usize;
     let mut failed = 0usize;
     for seed in 0..72u64 {
@@ -204,8 +206,8 @@ fn any_fault_plan_completes_or_fails_typed_and_reproducibly() {
         cfg.msg_drop = unit(&mut s) * 0.05;
         cfg.msg_corrupt = unit(&mut s) * 0.10;
         cfg.msg_delay = unit(&mut s) * 0.10;
-        let first = run_case(&program, entry, size, cfg);
-        let second = run_case(&program, entry, size, cfg);
+        let first = run_case(&program, &code, entry, size, cfg);
+        let second = run_case(&program, &code, entry, size, cfg);
         assert_eq!(
             first, second,
             "seed {seed}: same plan must reproduce the same outcome"
@@ -226,9 +228,10 @@ fn any_fault_plan_completes_or_fails_typed_and_reproducibly() {
 #[test]
 fn certain_crash_yields_post_mortem_not_hang() {
     let (program, entry) = ring_program(4);
+    let code = Code::new(&program);
     let mut cfg = FaultConfig::seeded(11);
     cfg.crash = 1.0;
-    let world = World::new(&program, 3).with_faults(cfg);
+    let world = World::new(&program, &code, 3).with_faults(cfg);
     let err = world.run(entry, |_, _| Ok(vec![])).unwrap_err();
     match err {
         SimError::Crash {
@@ -251,9 +254,10 @@ fn certain_crash_yields_post_mortem_not_hang() {
 #[test]
 fn certain_drop_fails_typed_with_queue_depth_report() {
     let (program, entry) = ring_program(2);
+    let code = Code::new(&program);
     let mut cfg = FaultConfig::seeded(7);
     cfg.msg_drop = 1.0;
-    let world = World::new(&program, 2).with_faults(cfg);
+    let world = World::new(&program, &code, 2).with_faults(cfg);
     let err = world.run(entry, |_, _| Ok(vec![])).unwrap_err();
     let report = match err {
         SimError::Deadlock { ref report } => report.clone(),
@@ -314,7 +318,8 @@ fn genuine_hang_becomes_typed_timeout() {
     let entry = p.add_func(fb.finish().unwrap());
     p.validate().unwrap();
 
-    let mut world = World::new(&p, 2);
+    let code = Code::new(&p);
+    let mut world = World::new(&p, &code, 2);
     world.slice = 10_000; // keep each spin round cheap
     let world = world.with_timeout(50);
     match world.run(entry, |_, _| Ok(vec![])) {
@@ -337,7 +342,8 @@ fn genuine_hang_becomes_typed_timeout() {
 #[test]
 fn fault_free_ring_is_clean_and_stats_are_zero() {
     let (program, entry) = ring_program(5);
-    let world = World::new(&program, 4);
+    let code = Code::new(&program);
+    let world = World::new(&program, &code, 4);
     let run = world.run(entry, |_, _| Ok(vec![])).unwrap();
     assert_eq!(run.resilience.injected(), 0);
     assert_eq!(run.resilience, exec::ResilienceStats::default());
@@ -353,11 +359,12 @@ fn fault_free_ring_is_clean_and_stats_are_zero() {
 #[test]
 fn surviving_runs_report_identical_nonzero_stats() {
     let (program, entry) = ring_program(8);
+    let code = Code::new(&program);
     let mut cfg = FaultConfig::seeded(0xD00D);
     cfg.msg_delay = 0.3;
     cfg.msg_corrupt = 0.3;
     cfg.fuel_exhaust = 0.2;
-    let world = World::new(&program, 4).with_faults(cfg);
+    let world = World::new(&program, &code, 4).with_faults(cfg);
     let a = world.run(entry, |_, _| Ok(vec![])).unwrap();
     let b = world.run(entry, |_, _| Ok(vec![])).unwrap();
     assert!(a.resilience.injected() > 0, "stats: {:?}", a.resilience);
@@ -568,12 +575,13 @@ fn gpu_step_program(steps: i32) -> (Program, FuncId) {
 #[test]
 fn device_faults_fail_typed_and_reproducibly() {
     let (program, entry) = gpu_step_program(6);
+    let code = Code::new(&program);
     let mut crashed = 0usize;
     for seed in 0..24u64 {
         let mut cfg = FaultConfig::seeded(0x6B0 + seed);
         cfg.crash = 0.002;
         let world = || {
-            World::new(&program, 2)
+            World::new(&program, &code, 2)
                 .with_gpu(gpu_sim::GpuConfig::default())
                 .with_faults(cfg)
                 .with_timeout(5_000)
@@ -605,7 +613,8 @@ fn device_faults_fail_typed_and_reproducibly() {
 #[test]
 fn restart_recovers_device_crashes_bit_identically() {
     let (program, entry) = gpu_step_program(6);
-    let clean: Vec<_> = World::new(&program, 2)
+    let code = Code::new(&program);
+    let clean: Vec<_> = World::new(&program, &code, 2)
         .with_gpu(gpu_sim::GpuConfig::default())
         .run(entry, |_, _| Ok(vec![]))
         .unwrap()
@@ -618,7 +627,7 @@ fn restart_recovers_device_crashes_bit_identically() {
     for seed in 0..24u64 {
         let mut cfg = FaultConfig::seeded(0x6B0 + seed);
         cfg.crash = 0.002;
-        let world = World::new(&program, 2)
+        let world = World::new(&program, &code, 2)
             .with_gpu(gpu_sim::GpuConfig::default())
             .with_faults(cfg)
             .with_timeout(5_000);

@@ -11,7 +11,7 @@
 
 use std::path::PathBuf;
 
-use exec::{FaultConfig, Val};
+use exec::{Code, FaultConfig, Val};
 use jlang::ast::BinOp;
 use jlang::types::PrimKind;
 use mpi_sim::{probe_chain, CheckpointPolicy, CkptError, SimError, World, WorldRun};
@@ -197,8 +197,9 @@ fn results(run: WorldRun) -> Vec<Option<Val>> {
 fn crashed_worlds_resume_to_the_fault_free_answer_for_every_seed() {
     const SIZE: u32 = 4;
     let (program, entry) = ring_step_allreduce(8);
+    let code = Code::new(&program);
     let clean = results(
-        World::new(&program, SIZE)
+        World::new(&program, &code, SIZE)
             .run(entry, |_, _| Ok(vec![]))
             .unwrap(),
     );
@@ -206,7 +207,7 @@ fn crashed_worlds_resume_to_the_fault_free_answer_for_every_seed() {
     for seed in 0..48u64 {
         let mut cfg = FaultConfig::seeded(0x8E57_A127 ^ seed);
         cfg.crash = 0.003;
-        let world = World::new(&program, SIZE)
+        let world = World::new(&program, &code, SIZE)
             .with_faults(cfg)
             .with_timeout(5_000);
         match world.run(entry, |_, _| Ok(vec![])) {
@@ -241,8 +242,9 @@ fn crashed_worlds_resume_to_the_fault_free_answer_for_every_seed() {
 fn checkpoint_cadence_changes_cost_not_the_answer() {
     const SIZE: u32 = 3;
     let (program, entry) = ring_step_allreduce(9);
+    let code = Code::new(&program);
     let clean = results(
-        World::new(&program, SIZE)
+        World::new(&program, &code, SIZE)
             .run(entry, |_, _| Ok(vec![]))
             .unwrap(),
     );
@@ -252,7 +254,7 @@ fn checkpoint_cadence_changes_cost_not_the_answer() {
             let mut cfg = FaultConfig::seeded(0xCAD + s);
             cfg.crash = 0.003;
             matches!(
-                World::new(&program, SIZE)
+                World::new(&program, &code, SIZE)
                     .with_faults(cfg)
                     .with_timeout(5_000)
                     .run(entry, |_, _| Ok(vec![])),
@@ -264,7 +266,7 @@ fn checkpoint_cadence_changes_cost_not_the_answer() {
     cfg.crash = 0.003;
     let mut taken = Vec::new();
     for every in [1u32, 4, 16] {
-        let run = World::new(&program, SIZE)
+        let run = World::new(&program, &code, SIZE)
             .with_faults(cfg)
             .with_timeout(5_000)
             .run_with_restart(
@@ -291,7 +293,8 @@ fn corrupt_persisted_checkpoints_degrade_to_cold_restart() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("world.wckpt");
     let (program, entry) = ring_step_allreduce(5);
-    let world = World::new(&program, 3);
+    let code = Code::new(&program);
+    let world = World::new(&program, &code, 3);
     let policy = CheckpointPolicy::every(1).with_persist(&path);
     let clean = results(world.run(entry, |_, _| Ok(vec![])).unwrap());
 
@@ -330,8 +333,9 @@ fn corrupt_persisted_checkpoints_degrade_to_cold_restart() {
 fn delta_chains_match_full_snapshots_and_write_fewer_bytes() {
     const SIZE: u32 = 3;
     let (program, entry) = ring_step_allreduce_mesh(8, 2048);
+    let code = Code::new(&program);
     let clean = results(
-        World::new(&program, SIZE)
+        World::new(&program, &code, SIZE)
             .run(entry, |_, _| Ok(vec![]))
             .unwrap(),
     );
@@ -340,7 +344,7 @@ fn delta_chains_match_full_snapshots_and_write_fewer_bytes() {
             let mut cfg = FaultConfig::seeded(0xDE17A ^ s);
             cfg.crash = 0.003;
             matches!(
-                World::new(&program, SIZE)
+                World::new(&program, &code, SIZE)
                     .with_faults(cfg)
                     .with_timeout(5_000)
                     .run(entry, |_, _| Ok(vec![])),
@@ -352,7 +356,7 @@ fn delta_chains_match_full_snapshots_and_write_fewer_bytes() {
     cfg.crash = 0.003;
     let mut stats = Vec::new();
     for rebase_every in [0u32, 4] {
-        let run = World::new(&program, SIZE)
+        let run = World::new(&program, &code, SIZE)
             .with_faults(cfg)
             .with_timeout(5_000)
             .run_with_restart(
@@ -397,7 +401,8 @@ fn chain_corruption_sweep_degrades_to_the_deepest_valid_ancestor() {
     std::fs::create_dir_all(&dir).unwrap();
     let base = dir.join("world.wckpt");
     let (program, entry) = ring_step_allreduce(6);
-    let world = World::new(&program, 3);
+    let code = Code::new(&program);
+    let world = World::new(&program, &code, 3);
     let policy = CheckpointPolicy::every(1)
         .with_persist(&base)
         .with_rebase_every(64);
@@ -507,9 +512,10 @@ fn chain_corruption_sweep_degrades_to_the_deepest_valid_ancestor() {
 #[test]
 fn exhausted_restart_budget_carries_the_last_post_mortem() {
     let (program, entry) = ring_step_allreduce(6);
+    let code = Code::new(&program);
     let mut cfg = FaultConfig::seeded(99);
     cfg.crash = 1.0;
-    let err = World::new(&program, 3)
+    let err = World::new(&program, &code, 3)
         .with_faults(cfg)
         .run_with_restart(entry, |_, _| Ok(vec![]), &CheckpointPolicy::every(1), 3)
         .unwrap_err();
@@ -532,9 +538,10 @@ fn exhausted_restart_budget_carries_the_last_post_mortem() {
 #[test]
 fn non_crash_failures_propagate_without_restarting() {
     let (program, entry) = ring_step_allreduce(4);
+    let code = Code::new(&program);
     let mut cfg = FaultConfig::seeded(13);
     cfg.msg_drop = 1.0; // every p2p message lost -> receivers starve
-    let err = World::new(&program, 2)
+    let err = World::new(&program, &code, 2)
         .with_faults(cfg)
         .run_with_restart(entry, |_, _| Ok(vec![]), &CheckpointPolicy::every(1), 64)
         .unwrap_err();

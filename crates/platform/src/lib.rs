@@ -222,10 +222,7 @@ fn apply_request<'p>(mut world: World<'p>, req: &RunRequest<'p>, salt: u64) -> W
     if let Some(t) = req.timeout_rounds {
         world = world.with_timeout(t);
     }
-    world
-        .with_code(req.code)
-        .with_executor(req.executor)
-        .with_ckpt_salt(salt)
+    world.with_executor(req.executor).with_ckpt_salt(salt)
 }
 
 /// Drive the world, routing through checkpoint/restart when requested.
@@ -272,7 +269,7 @@ impl Platform for InterpPlatform {
 
     fn run(&self, req: RunRequest<'_>, make_args: ArgBuilder<'_>) -> Result<RunOutcome, SimError> {
         let world = apply_request(
-            World::new(req.program, 1).with_cost(self.cost),
+            World::new(req.program, req.code, 1).with_cost(self.cost),
             &req,
             self.fingerprint_salt(),
         );
@@ -306,7 +303,7 @@ impl Platform for GpuSimPlatform {
 
     fn run(&self, req: RunRequest<'_>, make_args: ArgBuilder<'_>) -> Result<RunOutcome, SimError> {
         let world = apply_request(
-            World::new(req.program, 1)
+            World::new(req.program, req.code, 1)
                 .with_cost(self.cost)
                 .with_gpu(self.gpu),
             &req,
@@ -356,7 +353,7 @@ impl Platform for MpiSimPlatform {
     }
 
     fn run(&self, req: RunRequest<'_>, make_args: ArgBuilder<'_>) -> Result<RunOutcome, SimError> {
-        let mut world = World::new(req.program, self.ranks).with_cost(self.cost);
+        let mut world = World::new(req.program, req.code, self.ranks).with_cost(self.cost);
         if let Some(g) = self.gpu {
             world = world.with_gpu(g);
         }
@@ -460,7 +457,7 @@ impl Platform for HostMtPlatform {
             e => e,
         };
         let world = apply_request(
-            World::new(req.program, self.workers)
+            World::new(req.program, req.code, self.workers)
                 .with_cost(self.cost)
                 .with_schedule(Schedule::Seeded(self.seed)),
             &req,
@@ -535,8 +532,7 @@ impl Platform for DistPlatform {
                     .into(),
             });
         }
-        let mut world = dist::DistWorld::new(req.program, self.ranks)
-            .with_code(req.code)
+        let mut world = dist::DistWorld::new(req.program, req.code, self.ranks)
             .with_cost(self.cost)
             .with_launch(self.launch.clone())
             .with_ckpt_salt(self.fingerprint_salt());
