@@ -2679,11 +2679,12 @@ pub fn dist_processes(quick: bool) -> Figure {
         assert_identical(&reference, &processes, &format!("procs, size {size}"));
         s_procs.push(size as f64, 1.0);
         s_vtime.push(size as f64, reference.vtime_cycles as f64);
-        // The coordinator broadcasts Init, Restore, and Finish with an
-        // overlapped fan-out (all requests written, then replies
-        // awaited). Stats are drained before the Finish broadcast, so
-        // a clean run reports the Init and Restore rounds; the
-        // in-process backend never fans out at all.
+        // The coordinator fans out Init, Restore, every slice round
+        // with two or more ready ranks, and Finish (all requests
+        // written, then replies awaited). Stats are drained before the
+        // Finish broadcast, so a clean run reports the Init and Restore
+        // rounds plus its multi-rank slice rounds; the in-process
+        // backend never fans out at all.
         assert!(
             reference.resilience.overlapped_rounds == 0,
             "dist: mpi-sim counted overlapped fan-out rounds"

@@ -69,35 +69,44 @@ impl Figure {
     }
 
     /// Render as an aligned text table (x down the rows, series across).
+    /// There is one row per x value any series has (in first-seen order;
+    /// an x a series repeats gets a row per repeat), and a cell shows the
+    /// series' point at exactly that x, or `-`. Each column is as wide as
+    /// its label needs.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "== {} — {} ==", self.id, self.title);
-        // Collect the x values of the longest series.
-        let xs: Vec<f64> = self
+        let same = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        // (x, occurrence) of every row.
+        let mut rows: Vec<(f64, usize)> = Vec::new();
+        for s in &self.series {
+            for (i, p) in s.points.iter().enumerate() {
+                let k = s.points[..i].iter().filter(|q| same(q.x, p.x)).count();
+                if !rows.iter().any(|&(x, j)| same(x, p.x) && j == k) {
+                    rows.push((p.x, k));
+                }
+            }
+        }
+        let x_width = (self.x_label.chars().count() + 2).max(14);
+        let widths: Vec<usize> = self
             .series
             .iter()
-            .max_by_key(|s| s.points.len())
-            .map(|s| s.points.iter().map(|p| p.x).collect())
-            .unwrap_or_default();
-        let _ = write!(out, "{:>14}", self.x_label);
-        for s in &self.series {
-            let _ = write!(out, "{:>20}", s.name);
+            .map(|s| (s.name.chars().count() + 2).max(20))
+            .collect();
+        let mut out = String::new();
+        let _ = writeln!(out, "== {} — {} ==", self.id, self.title);
+        let _ = write!(out, "{:>x_width$}", self.x_label);
+        for (s, w) in self.series.iter().zip(&widths) {
+            let _ = write!(out, "{:>w$}", s.name);
         }
         let _ = writeln!(out);
-        for (i, x) in xs.iter().enumerate() {
-            let _ = write!(out, "{x:>14}");
-            for s in &self.series {
-                match s
-                    .points
-                    .iter()
-                    .find(|p| (p.x - x).abs() < 1e-9)
-                    .or(s.points.get(i))
-                {
+        for (x, k) in rows {
+            let _ = write!(out, "{x:>x_width$}");
+            for (s, w) in self.series.iter().zip(&widths) {
+                match s.points.iter().filter(|p| same(p.x, x)).nth(k) {
                     Some(p) => {
-                        let _ = write!(out, "{:>20.3}", p.y);
+                        let _ = write!(out, "{:>w$.3}", p.y);
                     }
                     None => {
-                        let _ = write!(out, "{:>20}", "-");
+                        let _ = write!(out, "{:>w$}", "-");
                     }
                 }
             }
@@ -464,6 +473,71 @@ mod tests {
         assert!(r.contains("figX"));
         assert!(r.contains("A"));
         assert!(r.contains("21.000"));
+    }
+
+    #[test]
+    fn wide_labels_get_wide_columns() {
+        let mut fig = Figure::new("figW", "test", "world size", "y");
+        for (name, y) in [
+            ("identical-procs", 1.0),
+            ("vtime-cycles (mpi-sim == dist)", 123456.0),
+            ("overlapped-rounds", 42.0),
+        ] {
+            let mut s = Series::new(name);
+            s.push(2.0, y);
+            fig.series.push(s);
+        }
+        let r = fig.render();
+        let lines: Vec<&str> = r.lines().collect();
+        let (header, row) = (lines[1], lines[2]);
+        // Every label is set off from its neighbour, and every value
+        // ends where its label ends.
+        assert!(header.contains("identical-procs  vtime-cycles (mpi-sim == dist)  "));
+        assert!(header.ends_with("  overlapped-rounds"), "{header}");
+        assert_eq!(header.len(), row.len(), "{r}");
+        let label_end = header.find("dist)").unwrap() + "dist)".len();
+        assert_eq!(
+            &row[label_end - "123456.000".len()..label_end],
+            "123456.000"
+        );
+    }
+
+    #[test]
+    fn series_with_different_x_values_get_their_own_rows() {
+        let mut fig = Figure::new("figD", "test", "world size", "y");
+        let mut sizes = Series::new("identical");
+        sizes.push(2.0, 1.0);
+        sizes.push(4.0, 1.0);
+        let mut seeds = Series::new("recovered");
+        seeds.push(0.0, 7.0);
+        seeds.push(1.0, 8.0);
+        fig.series.push(sizes);
+        fig.series.push(seeds);
+        let r = fig.render();
+        let rows: Vec<Vec<&str>> = r
+            .lines()
+            .skip(2)
+            .take(4)
+            .map(|l| l.split_whitespace().collect())
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                vec!["2", "1.000", "-"],
+                vec!["4", "1.000", "-"],
+                vec!["0", "-", "7.000"],
+                vec!["1", "-", "8.000"],
+            ],
+            "{r}"
+        );
+        // A repeated x keeps one row per repeat.
+        let mut fig = Figure::new("figR", "test", "x", "y");
+        let mut s = Series::new("S");
+        s.push(0.0, 1.0);
+        s.push(0.0, 2.0);
+        fig.series.push(s);
+        let r = fig.render();
+        assert!(r.contains("1.000") && r.contains("2.000"), "{r}");
     }
 
     #[test]

@@ -29,6 +29,7 @@
 pub mod proto;
 pub mod worker;
 
+use std::collections::VecDeque;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -75,6 +76,11 @@ pub enum Launch {
 /// in and complete its `Hello` within this window.
 const ACCEPT_TIMEOUT: Duration = Duration::from_secs(30);
 
+/// First and longest nap between polls of an empty accept queue during
+/// the rendezvous.
+const ACCEPT_NAP_MIN: Duration = Duration::from_micros(20);
+const ACCEPT_NAP_MAX: Duration = Duration::from_millis(2);
+
 /// Per-response read bound on the coordinator side: no worker reply
 /// within this window means the rank is treated as dead (typed
 /// [`SimError::Crash`]), never a hang.
@@ -96,19 +102,26 @@ struct Worker {
 }
 
 impl Worker {
-    fn rpc(&mut self, req: &Request) -> Result<Resp, TransportError> {
-        write_frame(&mut self.stream, &proto::encode_req(req))?;
-        proto::decode_resp(&read_frame(&mut self.stream)?)
-    }
-
-    fn dispose(mut self) {
-        // Best-effort: ask nicely, then make sure the process is gone.
-        let _ = self.rpc(&Request::Shutdown);
-        if let Some(mut child) = self.child.take() {
+    /// Make sure the rank's process is gone (a thread worker exits on
+    /// its own once its connection closes).
+    fn reap(self) {
+        if let Some(mut child) = self.child {
             let _ = child.kill();
             let _ = child.wait();
         }
     }
+}
+
+/// A request that owes an `Ok` the coordinator has not read yet (see
+/// [`RemotePool::post`]).
+enum Queued {
+    /// On the wire to rank `r`; the next drain reads its reply.
+    Sent(u32),
+    /// Writing it to rank `r` failed; the drain buries the worker when
+    /// it gets there, after the replies of earlier requests.
+    Unsent(u32, TransportError),
+    /// It could not be sent at all (no live worker).
+    Failed(SimError),
 }
 
 /// The distributed rank pool: the coordinator-side half of the
@@ -146,6 +159,12 @@ pub struct RemotePool<'p, 'a> {
     /// [`ResilienceStats`] reply so the restart loop's per-attempt
     /// stats reads never double-count it.
     overlapped_rounds: u64,
+    /// Requests sent without awaiting their `Ok`, in the order they
+    /// were sent.
+    queued: VecDeque<Queued>,
+    /// The first queued request that failed, held until a fallible call
+    /// (or [`RankPool::settle`]) reports it.
+    failed: Option<SimError>,
 }
 
 fn world_err(message: impl Into<String>) -> SimError {
@@ -196,6 +215,8 @@ impl<'p, 'a> RemotePool<'p, 'a> {
             warm_dir,
             program_digest,
             overlapped_rounds: 0,
+            queued: VecDeque::new(),
+            failed: None,
         })
     }
 
@@ -283,8 +304,8 @@ impl<'p, 'a> RemotePool<'p, 'a> {
             .map(|(&r, &kill)| (r, init_req(self, kill, warm.clone())))
             .collect();
         let mut retry: Vec<(u32, Request)> = Vec::new();
-        for ((r, resp), &kill) in self.rpc_fanout(&first)?.into_iter().zip(&kills) {
-            match resp {
+        for ((r, reply), &kill) in self.rpc_fanout(&first)?.into_iter().zip(&kills) {
+            match reply? {
                 Resp::Ok => {}
                 Resp::Err(e) => {
                     if warm.is_some() {
@@ -302,8 +323,8 @@ impl<'p, 'a> RemotePool<'p, 'a> {
             }
         }
         if !retry.is_empty() {
-            for (r, resp) in self.rpc_fanout(&retry)? {
-                match resp {
+            for (r, reply) in self.rpc_fanout(&retry)? {
+                match reply? {
                     Resp::Ok => {}
                     Resp::Err(e) => return Err(e),
                     other => {
@@ -349,13 +370,18 @@ impl<'p, 'a> RemotePool<'p, 'a> {
     }
 
     /// Accept `Hello`s until every rank in `want` has connected (they
-    /// arrive in arbitrary order), within a wall-clock bound.
+    /// arrive in arbitrary order), within a wall-clock bound. An empty
+    /// accept queue is polled again after a short nap that doubles from
+    /// [`ACCEPT_NAP_MIN`] to [`ACCEPT_NAP_MAX`], and starts over after
+    /// each accepted worker: a thread worker dials within microseconds,
+    /// a spawned process within milliseconds.
     fn rendezvous(&mut self, want: &[u32], children: &mut [Option<Child>]) -> Result<(), SimError> {
         self.listener
             .set_nonblocking(true)
             .map_err(|e| world_err(format!("dist: rendezvous listener: {e}")))?;
         let deadline = Instant::now() + ACCEPT_TIMEOUT;
         let mut connected = 0usize;
+        let mut nap = ACCEPT_NAP_MIN;
         while connected < want.len() {
             if Instant::now() > deadline {
                 return Err(world_err(format!(
@@ -366,11 +392,13 @@ impl<'p, 'a> RemotePool<'p, 'a> {
             let mut stream = match self.listener.accept() {
                 Ok((s, _)) => s,
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
+                    std::thread::sleep(nap);
+                    nap = (nap * 2).min(ACCEPT_NAP_MAX);
                     continue;
                 }
                 Err(e) => return Err(world_err(format!("dist: accept: {e}"))),
             };
+            nap = ACCEPT_NAP_MIN;
             let _ = stream.set_nodelay(true);
             if stream.set_read_timeout(Some(RPC_TIMEOUT)).is_err() {
                 continue;
@@ -410,10 +438,7 @@ impl<'p, 'a> RemotePool<'p, 'a> {
     /// a *recoverable* crash — the restart machinery respawns it.
     fn bury(&mut self, r: u32, e: TransportError) -> SimError {
         if let Some(w) = self.workers[r as usize].take() {
-            if let Some(mut child) = { w }.child {
-                let _ = child.kill();
-                let _ = child.wait();
-            }
+            w.reap();
         }
         SimError::Crash {
             rank: r,
@@ -422,85 +447,105 @@ impl<'p, 'a> RemotePool<'p, 'a> {
         }
     }
 
+    fn worker(&mut self, r: u32) -> Result<&mut Worker, SimError> {
+        self.workers
+            .get_mut(r as usize)
+            .and_then(Option::as_mut)
+            .ok_or_else(|| world_err(format!("dist: rank {r} has no live worker")))
+    }
+
     /// Write one request frame to rank `r` without awaiting the reply.
     fn worker_write(&mut self, r: u32, req: &Request) -> Result<(), SimError> {
-        let res = {
-            let worker = self
-                .workers
-                .get_mut(r as usize)
-                .and_then(Option::as_mut)
-                .ok_or_else(|| world_err(format!("dist: rank {r} has no live worker")))?;
-            write_frame(&mut worker.stream, &proto::encode_req(req))
-        };
+        let res = write_frame(&mut self.worker(r)?.stream, &proto::encode_req(req));
         res.map_err(|e| self.bury(r, e))
     }
 
-    /// Await the one pending reply from rank `r`.
+    /// Await the next reply from rank `r`.
     fn worker_read(&mut self, r: u32) -> Result<Resp, SimError> {
-        let res = {
-            let worker = self
-                .workers
-                .get_mut(r as usize)
-                .and_then(Option::as_mut)
-                .ok_or_else(|| world_err(format!("dist: rank {r} has no live worker")))?;
-            read_frame(&mut worker.stream).and_then(|b| proto::decode_resp(&b))
-        };
+        let res = read_frame(&mut self.worker(r)?.stream).and_then(|b| proto::decode_resp(&b));
         res.map_err(|e| self.bury(r, e))
     }
 
-    /// One request/response round to rank `r`'s worker. A wire failure
-    /// buries the worker and surfaces as a typed, *recoverable* crash
-    /// for that rank — the restart machinery respawns it.
+    /// Send a request whose only reply is `Ok` and return without
+    /// waiting for it; the next drain reads the reply. Once a queued
+    /// request has failed, later ones are not sent: a coordinator
+    /// awaiting every reply would have stopped at the failure.
+    fn post(&mut self, r: u32, req: &Request) {
+        if self.failed.is_some() {
+            return;
+        }
+        let entry = match self.worker(r) {
+            Err(e) => Queued::Failed(e),
+            Ok(w) => match write_frame(&mut w.stream, &proto::encode_req(req)) {
+                Ok(()) => Queued::Sent(r),
+                Err(e) => Queued::Unsent(r, e),
+            },
+        };
+        self.queued.push_back(entry);
+    }
+
+    /// Read every reply the queued requests owe, in the order they were
+    /// sent, keeping the first failure. All of them are read even after
+    /// a failure, so no stale reply is left on a connection.
+    fn drain_queued(&mut self) {
+        while let Some(entry) = self.queued.pop_front() {
+            let res = match entry {
+                Queued::Sent(r) => self.worker_read(r).and_then(|resp| ok_reply(r, resp)),
+                Queued::Unsent(r, e) => Err(self.bury(r, e)),
+                Queued::Failed(e) => Err(e),
+            };
+            if let Err(e) = res {
+                self.failed.get_or_insert(e);
+            }
+        }
+    }
+
+    /// One request/response round to rank `r`'s worker, after the
+    /// queued requests have been answered. A wire failure buries the
+    /// worker and surfaces as a typed, *recoverable* crash for that
+    /// rank — the restart machinery respawns it.
     fn rpc(&mut self, r: u32, req: &Request) -> Result<Resp, SimError> {
+        self.settle()?;
         self.worker_write(r, req)?;
         self.worker_read(r)
     }
 
-    /// Overlapped fan-out: write *every* request frame back to back,
-    /// then await the replies in the same rank order — the whole world
-    /// pays one round-trip latency instead of one per rank. A wire
-    /// failure buries its rank exactly as [`Self::rpc`] does, but the
-    /// remaining replies are still drained first so surviving workers
-    /// stay in strict lockstep (no stale reply can desynchronize a
-    /// later request); the first failure surfaces after the drain.
-    fn rpc_fanout(&mut self, reqs: &[(u32, Request)]) -> Result<Vec<(u32, Resp)>, SimError> {
+    /// Overlapped fan-out: after the queued requests have been answered,
+    /// write *every* request frame back to back, then await the replies
+    /// in the same order — the whole world pays one round-trip latency
+    /// instead of one per rank. Every reply is read before this returns,
+    /// so survivors stay in strict lockstep even when a rank failed; the
+    /// caller walks the replies in request order and so reports the
+    /// first failure in that order.
+    #[allow(clippy::type_complexity)] // one reply (or typed failure) per request
+    fn rpc_fanout(
+        &mut self,
+        reqs: &[(u32, Request)],
+    ) -> Result<Vec<(u32, Result<Resp, SimError>)>, SimError> {
+        self.settle()?;
         if reqs.len() > 1 {
             self.overlapped_rounds += 1;
         }
-        let mut first_err: Option<SimError> = None;
-        let mut written: Vec<u32> = Vec::with_capacity(reqs.len());
-        for (r, req) in reqs {
-            match self.worker_write(*r, req) {
-                Ok(()) => written.push(*r),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        let mut out = Vec::with_capacity(written.len());
-        for r in written {
-            match self.worker_read(r) {
-                Ok(resp) => out.push((r, resp)),
-                Err(e) => {
-                    first_err.get_or_insert(e);
-                }
-            }
-        }
-        match first_err {
-            None => Ok(out),
-            Some(e) => Err(e),
-        }
+        let sent: Vec<Result<(), SimError>> = reqs
+            .iter()
+            .map(|(r, req)| self.worker_write(*r, req))
+            .collect();
+        Ok(reqs
+            .iter()
+            .zip(sent)
+            .map(|(&(r, _), sent)| (r, sent.and_then(|()| self.worker_read(r))))
+            .collect())
     }
+}
 
-    /// Unwrap a worker reply that should be `Ok`.
-    fn expect_ok(&mut self, r: u32, req: &Request) -> Result<(), SimError> {
-        match self.rpc(r, req)? {
-            Resp::Ok => Ok(()),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} sent mismatched reply {other:?}"
-            ))),
-        }
+/// Unwrap a worker reply that should be `Ok`.
+fn ok_reply(r: u32, resp: Resp) -> Result<(), SimError> {
+    match resp {
+        Resp::Ok => Ok(()),
+        Resp::Err(e) => Err(e),
+        other => Err(world_err(format!(
+            "dist: rank {r} sent mismatched reply {other:?}"
+        ))),
     }
 }
 
@@ -538,8 +583,8 @@ impl RankPool for RemotePool<'_, '_> {
                 (r, req)
             })
             .collect();
-        for (r, resp) in self.rpc_fanout(&reqs)? {
-            match resp {
+        for (r, reply) in self.rpc_fanout(&reqs)? {
+            match reply? {
                 Resp::Ok => {}
                 Resp::CkptErr(e) => return Err(world_err(format!("dist: seeding rank {r}: {e}"))),
                 Resp::Err(e) => return Err(e),
@@ -557,18 +602,35 @@ impl RankPool for RemotePool<'_, '_> {
         self.ensure_workers()
     }
 
-    fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
-        match self.rpc(r, &Request::Run { slice })? {
-            Resp::Yielded { y, delta } => Ok((y, delta)),
-            Resp::Err(e) => Err(e),
-            other => Err(world_err(format!(
-                "dist: rank {r} answered Run with {other:?}"
-            ))),
+    /// Every ready rank runs its slice at once: all `Run` frames are
+    /// written before any reply is awaited. The yields come back in
+    /// service order, and so does the first failure.
+    fn run_slices(
+        &mut self,
+        ranks: &[u32],
+        slice: u64,
+    ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
+        let reqs: Vec<(u32, Request)> =
+            ranks.iter().map(|&r| (r, Request::Run { slice })).collect();
+        let mut out = Vec::with_capacity(ranks.len());
+        for (r, reply) in self.rpc_fanout(&reqs)? {
+            match reply? {
+                Resp::Yielded { y, delta } => out.push((r, y, delta)),
+                Resp::Err(e) => return Err(e),
+                other => {
+                    return Err(world_err(format!(
+                        "dist: rank {r} answered Run with {other:?}"
+                    )))
+                }
+            }
         }
+        Ok(out)
     }
 
+    /// Queued: the `Ok` is read by the next call that needs a reply.
     fn resume(&mut self, r: u32, v: Val) -> Result<(), SimError> {
-        self.expect_ok(r, &Request::Resume { v })
+        self.post(r, &Request::Resume { v });
+        Ok(())
     }
 
     fn service_device(&mut self, r: u32) -> Result<DeviceOutcome, SimError> {
@@ -621,21 +683,35 @@ impl RankPool for RemotePool<'_, '_> {
         off: usize,
         payload: &[f32],
     ) -> Result<(), SimError> {
-        self.expect_ok(
+        // Queued, like `resume`.
+        self.post(
             r,
             &Request::WriteFloats {
                 buf,
                 off: off as u64,
                 payload: payload.to_vec(),
             },
-        )
+        );
+        Ok(())
     }
 
     fn location(&mut self, r: u32) -> Option<(String, u32)> {
+        // A queued failure found here is kept for the caller's next
+        // fallible call: the location only decorates a later error, and
+        // the queued one came first.
+        self.drain_queued();
+        if self.failed.is_some() {
+            return None;
+        }
         match self.rpc(r, &Request::Location) {
             Ok(Resp::Loc(loc)) => loc,
             _ => None,
         }
+    }
+
+    fn settle(&mut self) -> Result<(), SimError> {
+        self.drain_queued();
+        self.failed.take().map_or(Ok(()), Err)
     }
 
     fn has_fault_plan(&self, r: u32) -> bool {
@@ -735,7 +811,8 @@ impl RankPool for RemotePool<'_, '_> {
     }
 
     fn reseed(&mut self, r: u32, attempt: u64) -> Result<(), SimError> {
-        self.expect_ok(r, &Request::Reseed { attempt })
+        let resp = self.rpc(r, &Request::Reseed { attempt })?;
+        ok_reply(r, resp)
     }
 
     fn stats(&mut self, r: u32) -> Result<ResilienceStats, SimError> {
@@ -772,8 +849,8 @@ impl RankPool for RemotePool<'_, '_> {
             })
             .collect();
         let mut out = Vec::with_capacity(ctls.len());
-        for ((r, resp), ctl) in self.rpc_fanout(&reqs)?.into_iter().zip(ctls) {
-            match resp {
+        for ((r, reply), ctl) in self.rpc_fanout(&reqs)?.into_iter().zip(ctls) {
+            match reply? {
                 Resp::Outcome {
                     output,
                     gpu_time,
@@ -805,8 +882,17 @@ impl RankPool for RemotePool<'_, '_> {
 
 impl Drop for RemotePool<'_, '_> {
     fn drop(&mut self) {
+        // Best-effort: read what queued requests still owe, ask every
+        // worker to shut down in one fan-out, then make sure the
+        // processes are gone.
+        let _ = self.settle();
+        let shutdown: Vec<(u32, Request)> = (0..self.size)
+            .filter(|&r| self.workers[r as usize].is_some())
+            .map(|r| (r, Request::Shutdown))
+            .collect();
+        let _ = self.rpc_fanout(&shutdown);
         for worker in self.workers.iter_mut().filter_map(Option::take) {
-            worker.dispose();
+            worker.reap();
         }
     }
 }

@@ -36,6 +36,7 @@ pub mod client;
 pub mod proto;
 
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
@@ -371,19 +372,32 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
         let _ = write_frame(&mut stream, &proto::encode_reply(&refuse));
         return;
     }
-    if write_frame(
+    if !deliver(
         &mut stream,
-        &proto::encode_reply(&Reply::HelloOk {
+        &Reply::HelloOk {
             proto: SERVICE_PROTO,
-        }),
-    )
-    .is_err()
-    {
+        },
+    ) {
         shared.stats.lock().unwrap().disconnects += 1;
         return;
     }
 
     loop {
+        // Wait for the next request. A client that closes with a reply
+        // unread resets the connection: it died before reading it. An
+        // idle client past the read timeout is dropped as a bad frame,
+        // exactly as a timed-out frame read would be.
+        match stream.peek(&mut [0u8; 1]) {
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {
+                shared.stats.lock().unwrap().disconnects += 1;
+                return;
+            }
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                shared.stats.lock().unwrap().bad_frames += 1;
+                return;
+            }
+            _ => {}
+        }
         let buf = match read_frame(&mut stream) {
             Ok(b) => b,
             Err(TransportError::Disconnected) => return, // clean close
@@ -413,13 +427,32 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             }
             Request::Jit(j) => serve_jit(shared, &hello.tenant, j),
         };
-        if write_frame(&mut stream, &proto::encode_reply(&reply)).is_err() {
+        if !deliver(&mut stream, &reply) {
             // Client died between request and reply: the work is done
             // and accounted; only the delivery failed.
             shared.stats.lock().unwrap().disconnects += 1;
             return;
         }
     }
+}
+
+/// Write `reply` if the client is still there to read it; returns
+/// whether it was delivered. A frame is one write, which the kernel
+/// accepts even when the peer has died, so a client that hung up while
+/// its request was served is caught before the write: a client awaiting
+/// a reply sends nothing, so end-of-stream on its connection means it
+/// is gone.
+fn deliver(stream: &mut TcpStream, reply: &Reply) -> bool {
+    !client_gone(stream) && write_frame(stream, &proto::encode_reply(reply)).is_ok()
+}
+
+fn client_gone(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return false;
+    }
+    let gone = matches!(stream.peek(&mut [0u8; 1]), Ok(0));
+    let _ = stream.set_nonblocking(false);
+    gone
 }
 
 /// One admitted-or-shed request, start to finish. Every path produces

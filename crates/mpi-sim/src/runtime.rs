@@ -169,30 +169,28 @@ pub trait RankPool {
     fn prepare_resume(&mut self) -> Result<(), SimError> {
         Ok(())
     }
-    /// Run rank `r` for one fuel slice; returns its yield and the cycles
-    /// retired (already watermarked pool-side).
-    fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError>;
-    /// Run one scheduler round's ready ranks, returning `(rank, yield,
-    /// delta)` in *service order* — the order the scheduler must apply
-    /// the yields in. The default is the historical serial loop (run
-    /// each rank in the given order), which is exactly what every
-    /// remote pool wants; executor-backed pools override this to fan
-    /// slice execution out over OS threads. Sound because a slice only
-    /// touches its own rank's state — all cross-rank effects happen
-    /// when the *scheduler* services the returned yields.
+    /// Run one scheduler round's ready ranks for a fuel slice each,
+    /// returning `(rank, yield, delta)` in *service order* — the order
+    /// the scheduler must apply the yields in — with each delta the
+    /// cycles retired (already watermarked pool-side). [`LocalPool`]
+    /// runs the ranks one after another, or fans them out over OS
+    /// threads when it has an executor; the `dist` pool sends every rank
+    /// its run request before awaiting any reply. Sound because a slice
+    /// only touches its own rank's state — all cross-rank effects happen
+    /// when the *scheduler* services the returned yields. A failure is
+    /// the first one in service order.
     fn run_slices(
         &mut self,
         ranks: &[u32],
         slice: u64,
-    ) -> Result<Vec<(u32, RankYield, u64)>, SimError> {
-        let mut out = Vec::with_capacity(ranks.len());
-        for &r in ranks {
-            let (y, delta) = self.run_slice(r, slice)?;
-            out.push((r, y, delta));
-        }
-        Ok(out)
-    }
+    ) -> Result<Vec<(u32, RankYield, u64)>, SimError>;
     /// Resume a blocked/yielded rank with a value.
+    ///
+    /// This and [`RankPool::write_floats`] may be *queued*: a pool may
+    /// return `Ok` before the operation has been applied and report its
+    /// failure from a later call (every fallible call reports earlier
+    /// queued failures first, in issue order) or from
+    /// [`RankPool::settle`].
     fn resume(&mut self, r: u32, v: Val) -> Result<(), SimError>;
     /// Service the pending device yield stashed by
     /// [`RankYield::Device`].
@@ -219,7 +217,18 @@ pub trait RankPool {
         payload: &[f32],
     ) -> Result<(), SimError>;
     /// The (func, pc) rank `r`'s thread is yielded at — error context.
+    /// A queued failure this call comes across stays pending for the
+    /// next fallible call or [`RankPool::settle`].
     fn location(&mut self, r: u32) -> Option<(String, u32)>;
+    /// Wait for every queued operation to be applied and report the
+    /// first that failed. The scheduler settles before returning an
+    /// error of its own: a queued failure was issued earlier, so it is
+    /// the error a one-operation-at-a-time pool would have returned.
+    /// Pools that apply every operation before returning have nothing
+    /// to settle.
+    fn settle(&mut self) -> Result<(), SimError> {
+        Ok(())
+    }
     /// Does rank `r` carry a fault stream? Guards every draw below.
     fn has_fault_plan(&self, r: u32) -> bool;
     /// Draw the fate of one outgoing point-to-point message.
@@ -1157,7 +1166,20 @@ impl CkptState {
 /// a typed failure), optionally checkpointing at collective boundaries.
 /// The pre-refactor `World::drive`, with every rank access behind the
 /// [`RankPool`] seam and every message behind [`Transport`].
+///
+/// On failure the pool is settled first, so a failed queued operation
+/// (issued before the error was raised) is what the caller sees.
 fn drive(
+    cfg: &RunCfg,
+    pool: &mut dyn RankPool,
+    ctls: &mut [RankCtl],
+    transport: &mut dyn Transport,
+    ckpt: Option<&mut CkptState>,
+) -> Result<WorldRun, SimError> {
+    drive_rounds(cfg, pool, ctls, transport, ckpt).map_err(|e| pool.settle().err().unwrap_or(e))
+}
+
+fn drive_rounds(
     cfg: &RunCfg,
     pool: &mut dyn RankPool,
     ctls: &mut [RankCtl],
@@ -1644,7 +1666,7 @@ pub struct LocalPool<'p, 'a> {
     /// `service_*` call.
     pending: Vec<Option<Yield>>,
     /// OS-thread executor for batched slice execution; `None` keeps the
-    /// historical in-process serial loop (the `run_slices` default).
+    /// historical in-process serial loop.
     executor: Option<Box<dyn Executor>>,
 }
 
@@ -1699,6 +1721,37 @@ impl<'p, 'a> LocalPool<'p, 'a> {
             })
     }
 
+    /// Run rank `r` for one fuel slice; returns its yield and the cycles
+    /// retired (already watermarked). The `dist` worker serves its one
+    /// rank's `Run` requests with it.
+    pub fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
+        let code = self.code;
+        let (y, delta) = {
+            let rank = self.rank_mut(r)?;
+            let y = run(&mut rank.thread, code, &mut rank.machine, slice)
+                .map_err(|e| err_on(r, e.to_string()))?;
+            let delta = rank.machine.counters.cycles - rank.last_cycles;
+            rank.last_cycles = rank.machine.counters.cycles;
+            (y, delta)
+        };
+        let ry = match y {
+            Yield::Done(v) => RankYield::Done(v),
+            Yield::OutOfFuel => RankYield::OutOfFuel,
+            Yield::Crashed { step } => RankYield::Crashed { step },
+            Yield::Sync | Yield::SharedAlloc { .. } => RankYield::Misplaced,
+            Yield::Mpi { op, args } => RankYield::Mpi { op, args },
+            y @ (Yield::Launch { .. } | Yield::GpuMem { .. }) => {
+                self.pending[r as usize] = Some(y);
+                RankYield::Device
+            }
+            y @ Yield::Host { .. } => {
+                self.pending[r as usize] = Some(y);
+                RankYield::HostCall
+            }
+        };
+        Ok((ry, delta))
+    }
+
     /// Drain one rank into its final outcome — the per-rank half of
     /// [`RankPool::finish`]. Remote pools that own a single live rank
     /// each (the `dist` workers) call this for their own rank only.
@@ -1747,34 +1800,6 @@ impl RankPool for LocalPool<'_, '_> {
             }));
         }
         Ok(())
-    }
-
-    fn run_slice(&mut self, r: u32, slice: u64) -> Result<(RankYield, u64), SimError> {
-        let code = self.code;
-        let (y, delta) = {
-            let rank = self.rank_mut(r)?;
-            let y = run(&mut rank.thread, code, &mut rank.machine, slice)
-                .map_err(|e| err_on(r, e.to_string()))?;
-            let delta = rank.machine.counters.cycles - rank.last_cycles;
-            rank.last_cycles = rank.machine.counters.cycles;
-            (y, delta)
-        };
-        let ry = match y {
-            Yield::Done(v) => RankYield::Done(v),
-            Yield::OutOfFuel => RankYield::OutOfFuel,
-            Yield::Crashed { step } => RankYield::Crashed { step },
-            Yield::Sync | Yield::SharedAlloc { .. } => RankYield::Misplaced,
-            Yield::Mpi { op, args } => RankYield::Mpi { op, args },
-            y @ (Yield::Launch { .. } | Yield::GpuMem { .. }) => {
-                self.pending[r as usize] = Some(y);
-                RankYield::Device
-            }
-            y @ Yield::Host { .. } => {
-                self.pending[r as usize] = Some(y);
-                RankYield::HostCall
-            }
-        };
-        Ok((ry, delta))
     }
 
     fn run_slices(

@@ -103,18 +103,19 @@ fn io_error(op: &'static str, e: std::io::Error) -> TransportError {
 }
 
 /// Write one framed payload: magic, version, little-endian length,
-/// payload bytes, trailing [`digest64`] checksum.
+/// payload bytes, trailing [`digest64`] checksum. The frame is assembled
+/// in one buffer and handed to the stream in a single `write_all`, so a
+/// `TCP_NODELAY` socket sends it as one segment and wakes its reader
+/// once, not once per part.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), TransportError> {
-    let mut head = [0u8; FRAME_HEADER_LEN];
-    head[..4].copy_from_slice(&FRAME_MAGIC);
-    head[4] = WIRE_VERSION;
-    head[5..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
-    w.write_all(&head)
-        .map_err(|e| io_error("frame header write", e))?;
-    w.write_all(payload)
-        .map_err(|e| io_error("frame payload write", e))?;
-    w.write_all(&digest64(payload).to_le_bytes())
-        .map_err(|e| io_error("frame checksum write", e))?;
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len() + 8);
+    frame.extend_from_slice(&FRAME_MAGIC);
+    frame.push(WIRE_VERSION);
+    frame.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame.extend_from_slice(&digest64(payload).to_le_bytes());
+    w.write_all(&frame)
+        .map_err(|e| io_error("frame write", e))?;
     w.flush().map_err(|e| io_error("frame flush", e))?;
     Ok(())
 }
@@ -333,6 +334,25 @@ mod tests {
             read_frame(&mut r).unwrap_err(),
             TransportError::Disconnected
         );
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Records every `write` call it receives.
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        write_frame(&mut w, b"one segment").unwrap();
+        assert_eq!(w.0.len(), 1, "header, payload and checksum in one write");
+        assert_eq!(read_frame(&mut &w.0[0][..]).unwrap(), b"one segment");
     }
 
     #[test]

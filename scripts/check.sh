@@ -57,6 +57,12 @@ echo "==   divergence from the serial loop; checks the engine end to end)  =="
 cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
     --workload kernel --seed 1 --seconds 3 --trace 0
 
+echo "== benchmark ranks smoke run (exits nonzero on a wrong ring result or =="
+echo "==   a dist / host-mt / thread-executor run diverging from the serial  =="
+echo "==   loop; checks the scheduler and the dist transport end to end)     =="
+cargo run --release --offline -q --manifest-path perfbench/Cargo.toml -- \
+    --workload ranks --seed 1 --seconds 3 --trace 0
+
 echo "== disk-cache round-trip smoke =="
 # jit once (cold, persists the artifact), then re-jit from a fresh
 # process and assert zero translator work (--expect-warm exits nonzero
